@@ -5,7 +5,7 @@ two-step importance sampling, conditional Monte Carlo) for the probability of
 large portfolio losses and the expected shortfall.
 """
 
-from .archimedean import ArchimedeanGenerator, GumbelGenerator, sample_uniforms
+from .archimedean import GumbelGenerator, sample_uniforms
 from .asymptotics import (
     AsymptoticInputs,
     expected_shortfall_asymptotic,
@@ -30,10 +30,9 @@ from .estimators import (
 )
 from .portfolio import (
     DefaultScale,
+    LossModel,
     Portfolio,
     SubPortfolio,
-    conditional_default_prob,
-    conditional_default_prob_scaled,
     limiting_mean_loss,
     realized_loss,
     solve_vstar,
@@ -43,13 +42,13 @@ from .rng import RngStream
 from .stable import PositiveStableLaw
 
 __all__ = [
-    "ArchimedeanGenerator",
     "AsymptoticInputs",
     "DefaultScale",
     "EstimateReport",
     "EstimationError",
     "EstimatorConfig",
     "GumbelGenerator",
+    "LossModel",
     "NumericalError",
     "Portfolio",
     "PositiveStableLaw",
@@ -59,8 +58,6 @@ __all__ = [
     "TwistState",
     "aggregate",
     "condmc_one_rep",
-    "conditional_default_prob",
-    "conditional_default_prob_scaled",
     "expected_shortfall_asymptotic",
     "homogeneous_shortfall_asymptotic",
     "homogeneous_tail_asymptotic",

@@ -3,14 +3,13 @@
 An Archimedean copula is determined by a generator ``phi``; when ``phi_inv``
 is the Laplace transform of a positive mixing variable V, the copula can be
 sampled exactly as ``U_i = phi_inv(R_i / V)`` with i.i.d. standard
-exponentials R_i.  The Gumbel family is the shipped instance; the interface
-leaves room for other generators whose tail index exceeds 1.
+exponentials R_i.  The Gumbel family is the one implemented; its mixing
+variable is the positive stable law with index 1/alpha.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,33 +18,8 @@ from .rng import RngStream
 from .stable import PositiveStableLaw
 
 
-class ArchimedeanGenerator(ABC):
-    """Generator interface: phi, its inverse, and the matching mixing law."""
-
-    alpha: float
-
-    @abstractmethod
-    def phi(self, u: float) -> float:
-        """Generator value at u in (0, 1]."""
-
-    @abstractmethod
-    def phi_inv(self, s: float) -> float:
-        """Inverse generator at s >= 0; the mixing variable's Laplace transform."""
-
-    @abstractmethod
-    def phi_one_minus(self, eps: float) -> float:
-        """phi(1 - eps) computed from eps directly, exact for tiny eps."""
-
-    @abstractmethod
-    def mixing_law(self) -> PositiveStableLaw:
-        """Distribution of the mixture variable V with Laplace transform phi_inv."""
-
-    def phi_inv_many(self, s: np.ndarray) -> np.ndarray:
-        return np.array([self.phi_inv(float(si)) for si in np.atleast_1d(s)])
-
-
 @dataclass(frozen=True)
-class GumbelGenerator(ArchimedeanGenerator):
+class GumbelGenerator:
     """Gumbel generator phi(t) = (-ln t)**alpha with alpha > 1."""
 
     alpha: float
@@ -55,22 +29,26 @@ class GumbelGenerator(ArchimedeanGenerator):
             raise ValueError(f"Gumbel tail index must exceed 1, got {self.alpha}")
 
     def phi(self, u: float) -> float:
+        """Generator value at u in (0, 1]."""
         if not 0.0 < u <= 1.0:
             raise ValueError(f"generator argument must lie in (0, 1], got {u}")
         # route through log1p for u near 1 to keep the small result exact
         return (-math.log1p(u - 1.0)) ** self.alpha
 
     def phi_one_minus(self, eps: float) -> float:
+        """phi(1 - eps) computed from eps directly, exact for tiny eps."""
         if not 0.0 <= eps < 1.0:
             raise ValueError(f"eps must lie in [0, 1), got {eps}")
         return (-math.log1p(-eps)) ** self.alpha
 
     def phi_inv(self, s: float) -> float:
+        """Inverse generator at s >= 0; the mixing variable's Laplace transform."""
         if s < 0.0:
             raise ValueError(f"inverse generator argument must be >= 0, got {s}")
         return math.exp(-(s ** (1.0 / self.alpha)))
 
     def mixing_law(self) -> PositiveStableLaw:
+        """Distribution of the mixture variable V with Laplace transform phi_inv."""
         return PositiveStableLaw(1.0 / self.alpha)
 
     def phi_inv_many(self, s: np.ndarray) -> np.ndarray:
@@ -78,7 +56,7 @@ class GumbelGenerator(ArchimedeanGenerator):
 
 
 def sample_uniforms(
-    gen: ArchimedeanGenerator, n: int, v: float, rng: RngStream
+    gen: GumbelGenerator, n: int, v: float, rng: RngStream
 ) -> np.ndarray:
     """Draw n copula coordinates conditionally on a mixture realization v > 0.
 

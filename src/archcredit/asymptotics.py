@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
 from .errors import NumericalError
-from .portfolio import DefaultScale, Portfolio, solve_vstar
+from .portfolio import DefaultScale, Portfolio, check_model, solve_vstar
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,7 @@ class AsymptoticInputs:
     b: float
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError(f"tail index must exceed 1, got {self.alpha}")
-        cbar = self.portfolio.mean_exposure
-        if not 0.0 < self.b < cbar:
-            raise ValueError(f"loss level must lie in (0, {cbar}), got {self.b}")
-        self.scale.validate(self.portfolio)
+        check_model(self.portfolio, self.alpha, self.scale, self.b)
 
     @property
     def f_n(self) -> float:

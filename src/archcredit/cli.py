@@ -12,13 +12,18 @@ Every row carries a fixed column set::
 
 Numeric fields are emitted with 17 significant digits so parsing the CSV
 recovers them exactly.  ``runtime_ms`` is left empty unless ``--timings`` is
-given, keeping re-runs with the same seed and thread count byte-identical.
+given, keeping re-runs with the same seed byte-identical.
+
+The Monte Carlo commands (``estimate``, ``es`` and the ``table`` presets) all
+plan one task per (alpha, n, b, method) with seed ``seed + i`` for row i, then
+run the tasks in order; a row whose run fails leaves its value fields empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -48,25 +53,7 @@ COLUMNS = (
     "seed",
 )
 
-_CONFIG_KEYS = {
-    "alpha",
-    "groups",
-    "scale",
-    "b",
-    "n",
-    "l",
-    "c",
-    "methods",
-    "m",
-    "seed",
-    "threads",
-    "x0",
-    "format",
-    "output",
-    "asymptotic",
-    "timings",
-}
-
+_ESTIMATORS = ("naive", "importance", "conditional")
 _SCALE_NAMES = {"reciprocal": "reciprocal", "log-reciprocal": "log_reciprocal", "constant": "constant"}
 
 
@@ -87,7 +74,6 @@ class Settings:
     methods: list[str] | None = None
     m: int = 50_000
     seed: int = 20240
-    threads: int = 1
     x0: float = 1.0
     fmt: str = "csv"
     output: str | None = None
@@ -126,6 +112,50 @@ def _scale(settings: Settings) -> DefaultScale:
     return DefaultScale(settings.scale_kind)
 
 
+def _listed(convert):
+    return lambda x: [convert(v) for v in (x if isinstance(x, list) else [x])]
+
+
+def _methods(raw) -> list[str]:
+    methods = [str(x) for x in raw]
+    if not methods:
+        raise ConfigError("estimator set is empty; pass at least one --method")
+    unknown = [x for x in methods if x not in _ESTIMATORS]
+    if unknown:
+        raise ConfigError(f"unknown estimator {unknown[0]!r}")
+    return methods
+
+
+def _scale_entry(sc) -> tuple[str, float | None]:
+    if not isinstance(sc, dict) or "kind" not in sc or set(sc) - {"kind", "value"}:
+        raise ConfigError('config "scale" must be {"kind": ..., "value"?: ...}')
+    kind = str(sc["kind"]).replace("-", "_")
+    if kind not in _SCALE_NAMES.values():
+        raise ConfigError(f"unknown scale kind {sc['kind']!r}")
+    return kind, float(sc["value"]) if "value" in sc else None
+
+
+# config key: (Settings attributes it sets, converter of its value)
+_CONFIG_FIELDS = {
+    "alpha": ("alpha", float),
+    "groups": ("groups", list),
+    "scale": (("scale_kind", "scale_value"), _scale_entry),
+    "b": ("b", _listed(float)),
+    "n": ("n", _listed(int)),
+    "l": ("l", float),
+    "c": ("c", float),
+    "methods": ("methods", _methods),
+    "m": ("m", int),
+    "seed": ("seed", int),
+    "x0": ("x0", float),
+    "format": ("fmt", str),
+    "output": ("output", str),
+    "asymptotic": ("asymptotic", bool),
+    "timings": ("timings", bool),
+}
+_CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
+
+
 def _load_config_file(path: str, settings: Settings) -> Settings:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -139,45 +169,14 @@ def _load_config_file(path: str, settings: Settings) -> Settings:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "alpha" in raw:
-        settings.alpha = float(raw["alpha"])
-    if "groups" in raw:
-        settings.groups = list(raw["groups"])
-    if "scale" in raw:
-        sc = raw["scale"]
-        if not isinstance(sc, dict) or "kind" not in sc or set(sc) - {"kind", "value"}:
-            raise ConfigError('config "scale" must be {"kind": ..., "value"?: ...}')
-        kind = str(sc["kind"]).replace("-", "_")
-        if kind not in ("reciprocal", "log_reciprocal", "constant"):
-            raise ConfigError(f"unknown scale kind {sc['kind']!r}")
-        settings.scale_kind = kind
-        settings.scale_value = float(sc["value"]) if "value" in sc else None
-    if "b" in raw:
-        settings.b = [float(x) for x in (raw["b"] if isinstance(raw["b"], list) else [raw["b"]])]
-    if "n" in raw:
-        settings.n = [int(x) for x in (raw["n"] if isinstance(raw["n"], list) else [raw["n"]])]
-    if "l" in raw:
-        settings.l = float(raw["l"])
-    if "c" in raw:
-        settings.c = float(raw["c"])
-    if "methods" in raw:
-        settings.methods = [str(x) for x in raw["methods"]]
-    if "m" in raw:
-        settings.m = int(raw["m"])
-    if "seed" in raw:
-        settings.seed = int(raw["seed"])
-    if "threads" in raw:
-        settings.threads = int(raw["threads"])
-    if "x0" in raw:
-        settings.x0 = float(raw["x0"])
-    if "format" in raw:
-        settings.fmt = str(raw["format"])
-    if "output" in raw:
-        settings.output = str(raw["output"])
-    if "asymptotic" in raw:
-        settings.asymptotic = bool(raw["asymptotic"])
-    if "timings" in raw:
-        settings.timings = bool(raw["timings"])
+    for key, value in raw.items():
+        attrs, convert = _CONFIG_FIELDS[key]
+        value = convert(value)
+        if isinstance(attrs, tuple):
+            for attr, part in zip(attrs, value):
+                setattr(settings, attr, part)
+        else:
+            setattr(settings, attrs, value)
     return settings
 
 
@@ -191,23 +190,18 @@ def _apply_flags(args, settings: Settings) -> Settings:
         ("f", "scale_value"),
         ("m", "m"),
         ("seed", "seed"),
-        ("threads", "threads"),
         ("x0", "x0"),
         ("output", "output"),
+        ("n", "n"),
+        ("b", "b"),
+        ("method", "methods"),
+        ("format", "fmt"),
     ):
         val = getattr(args, name, None)
         if val is not None:
             setattr(settings, attr, val)
     if getattr(args, "scale", None) is not None:
         settings.scale_kind = _SCALE_NAMES[args.scale]
-    if getattr(args, "n", None):
-        settings.n = list(args.n)
-    if getattr(args, "b", None):
-        settings.b = list(args.b)
-    if getattr(args, "method", None):
-        settings.methods = list(args.method)
-    if getattr(args, "format", None) is not None:
-        settings.fmt = args.format
     if getattr(args, "asymptotic", False):
         settings.asymptotic = True
     if getattr(args, "timings", False):
@@ -250,20 +244,14 @@ def _log(msg: str) -> None:
 
 @dataclass
 class _Task:
-    """One planned report row: a validated config plus its display metadata."""
+    """One planned report row: its method, validated config and asymptotic column."""
 
     method: str
-    alpha: float
-    n: int
-    b: float
-    seed: int
     config: EstimatorConfig
-    runner: object
     asym: float | None
 
 
 def _make_task(method, pf, settings, alpha, b, seed, asym) -> _Task:
-    runner = is_expected_shortfall if method == "es_importance" else run_tail_estimate
     kind = "importance" if method == "es_importance" else method
     try:
         cfg = EstimatorConfig(
@@ -275,78 +263,73 @@ def _make_task(method, pf, settings, alpha, b, seed, asym) -> _Task:
             seed=seed,
             x0=settings.x0,
             kind=kind,
-            threads=settings.threads,
         )
     except ValueError as exc:
         raise ConfigError(f"{method} (alpha={alpha}, n={pf.n}, b={b}): {exc}") from exc
-    return _Task(method, alpha, pf.n, b, seed, cfg, runner, asym)
+    return _Task(method, cfg, asym)
+
+
+_PAIR = ["importance", "conditional"]
+_ES = ["es_importance"]
+# per command: the alpha grid (None keeps the configured alpha) and the settings it fixes
+_PRESETS = {
+    "estimate": (None, {}),
+    "es": (None, dict(methods=_ES, asymptotic=True)),
+    "2": ([1.1, 1.5, 2.0, 5.0], dict(n=[500], b=[0.8], methods=_PAIR, asymptotic=False)),
+    "3": ([1.5], dict(n=[500], b=[0.3, 0.5, 0.7, 0.9], methods=_PAIR, asymptotic=False)),
+    "4": ([1.5], dict(n=[100, 250, 500, 1000], b=[0.8], methods=_PAIR, asymptotic=True)),
+    "5": (None, dict(n=[50, 100, 250, 500], b=[0.8], methods=_ES, asymptotic=True)),
+}
+
+
+def _plan(settings: Settings, command: str) -> list[_Task]:
+    """One task per (alpha, n, b, method) of the command's grid, in row order.
+
+    The asymptotic column holds the shortfall approximation for shortfall
+    rows and the tail approximation otherwise.
+    """
+    alphas, fixed = _PRESETS[command]
+    settings = dataclasses.replace(settings, **fixed)
+    methods = settings.methods or _PAIR
+    tasks: list[_Task] = []
+    for alpha in alphas or [settings.alpha]:
+        for n in settings.n or [500]:
+            pf = _portfolio(settings, n)
+            for b in settings.b or [0.8]:
+                asym = None
+                if settings.asymptotic:
+                    inputs = AsymptoticInputs(pf, alpha, _scale(settings), b)
+                    if methods == _ES:
+                        asym = expected_shortfall_asymptotic(inputs)
+                    else:
+                        asym = tail_probability_asymptotic(inputs)
+                for method in methods:
+                    seed = settings.seed + len(tasks)
+                    tasks.append(_make_task(method, pf, settings, alpha, b, seed, asym))
+    return tasks
 
 
 def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[dict], bool]:
     rows: list[dict] = []
     failed = False
     for task in tasks:
-        _log(
-            f"running {task.method}: alpha={task.alpha} n={task.n} b={task.b} m={task.config.m}"
-        )
+        cfg = task.config
+        where = f"alpha={cfg.alpha} n={cfg.portfolio.n} b={cfg.b}"
+        _log(f"running {task.method}: {where} m={cfg.m}")
+        # looked up at call time, so a wrapper installed on this module (as the
+        # benchmark's tracer does) is the one called
+        runner = is_expected_shortfall if task.method == "es_importance" else run_tail_estimate
+        report = None
         try:
-            report = task.runner(task.config)
-        except (NumericalError, EstimationError) as exc:
-            _log(f"row failed ({task.method}, alpha={task.alpha}, n={task.n}, b={task.b}): {exc}")
-            rows.append(_row(task.method, task.alpha, task.n, task.b, task.seed, asym=task.asym))
+            report = runner(cfg)
+        except (NumericalError, EstimationError, ValueError) as exc:
+            _log(f"row failed ({task.method}: {where}): {exc}")
             failed = True
-            continue
         rows.append(
-            _row(
-                task.method,
-                task.alpha,
-                task.n,
-                task.b,
-                task.seed,
-                report,
-                task.asym,
-                settings.timings,
-            )
+            _row(task.method, cfg.alpha, cfg.portfolio.n, cfg.b, cfg.seed, report, task.asym,
+                 settings.timings)
         )
     return rows, failed
-
-
-def _run_estimate_rows(settings: Settings) -> tuple[list[dict], bool]:
-    methods = settings.methods if settings.methods is not None else ["importance", "conditional"]
-    if not methods:
-        raise ConfigError("estimator set is empty; pass at least one --method")
-    for meth in methods:
-        if meth not in ("naive", "importance", "conditional"):
-            raise ConfigError(f"unknown estimator {meth!r}")
-    tasks: list[_Task] = []
-    idx = 0
-    for n in settings.n or [500]:
-        pf = _portfolio(settings, n)
-        for b in settings.b or [0.8]:
-            asym = None
-            if settings.asymptotic:
-                asym = tail_probability_asymptotic(
-                    AsymptoticInputs(pf, settings.alpha, _scale(settings), b)
-                )
-            for meth in methods:
-                tasks.append(_make_task(meth, pf, settings, settings.alpha, b, settings.seed + idx, asym))
-                idx += 1
-    return _execute(tasks, settings)
-
-
-def _run_es_rows(settings: Settings) -> tuple[list[dict], bool]:
-    tasks: list[_Task] = []
-    idx = 0
-    for n in settings.n or [500]:
-        pf = _portfolio(settings, n)
-        for b in settings.b or [0.8]:
-            inputs = AsymptoticInputs(pf, settings.alpha, _scale(settings), b)
-            asym = expected_shortfall_asymptotic(inputs)
-            tasks.append(
-                _make_task("es_importance", pf, settings, settings.alpha, b, settings.seed + idx, asym)
-            )
-            idx += 1
-    return _execute(tasks, settings)
 
 
 def _run_asymptotic_rows(settings: Settings, want_es: bool) -> tuple[list[dict], bool]:
@@ -364,36 +347,6 @@ def _run_asymptotic_rows(settings: Settings, want_es: bool) -> tuple[list[dict],
                 es = expected_shortfall_asymptotic(inputs)
                 rows.append(_row("asymptotic_es", settings.alpha, pf.n, b, None, asym=es))
     return rows, False
-
-
-_TABLE_PRESETS = {
-    "2": dict(alphas=[1.1, 1.5, 2.0, 5.0], ns=[500], bs=[0.8], with_asym=False),
-    "3": dict(alphas=[1.5], ns=[500], bs=[0.3, 0.5, 0.7, 0.9], with_asym=False),
-    "4": dict(alphas=[1.5], ns=[100, 250, 500, 1000], bs=[0.8], with_asym=True),
-}
-
-
-def _run_table_rows(settings: Settings, table: str) -> tuple[list[dict], bool]:
-    if table == "5":
-        settings.n = [50, 100, 250, 500]
-        settings.b = [0.8]
-        return _run_es_rows(settings)
-    preset = _TABLE_PRESETS[table]
-    tasks: list[_Task] = []
-    idx = 0
-    for alpha in preset["alphas"]:
-        for n in preset["ns"]:
-            pf = _portfolio(settings, n)
-            for b in preset["bs"]:
-                asym = None
-                if preset["with_asym"]:
-                    asym = tail_probability_asymptotic(
-                        AsymptoticInputs(pf, alpha, _scale(settings), b)
-                    )
-                for meth in ("importance", "conditional"):
-                    tasks.append(_make_task(meth, pf, settings, alpha, b, settings.seed + idx, asym))
-                    idx += 1
-    return _execute(tasks, settings)
 
 
 def _emit(rows: list[dict], settings: Settings) -> None:
@@ -449,12 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--method",
                 action="append",
-                choices=["naive", "importance", "conditional"],
+                choices=_ESTIMATORS,
                 help="estimator to run (repeatable; default: importance and conditional)",
             )
         p.add_argument("--m", type=int, help="number of replications")
         p.add_argument("--seed", type=int, help="base seed; row i uses seed + i")
-        p.add_argument("--threads", type=int, help="worker threads (part of the reproducibility contract)")
         p.add_argument("--x0", type=float, help="importance-sampling tail splice point")
         p.add_argument("--format", choices=["csv", "markdown"], help="output format")
         p.add_argument("--output", "-o", help="output path (default: stdout)")
@@ -485,14 +437,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _apply_flags(args, Settings())
-        if args.command == "estimate":
-            rows, failed = _run_estimate_rows(settings)
-        elif args.command == "es":
-            rows, failed = _run_es_rows(settings)
-        elif args.command == "asymptotic":
+        if args.command == "asymptotic":
             rows, failed = _run_asymptotic_rows(settings, args.es)
         else:
-            rows, failed = _run_table_rows(settings, args.table)
+            command = args.table if args.command == "table" else args.command
+            rows, failed = _execute(_plan(settings, command), settings)
     except (ConfigError, ValueError) as exc:
         _log(f"configuration error: {exc}")
         return 2

@@ -11,31 +11,32 @@ weighted indicator.  Conditional Monte Carlo instead draws only the obligor
 exponentials and returns the exact conditional exceedance probability, a
 survival evaluation of the stable law at an order statistic.
 
-Replications are independent given disjoint substreams: replication i always
-consumes ``RngStream(seed).substream(i)``, so results are identical for any
-execution order or thread count, and aggregation runs over the stored
+The model itself (conditional default probabilities, threshold index, loss
+event) comes from :class:`~archcredit.portfolio.LossModel`.  Replications are
+independent given disjoint substreams: replication i always consumes
+``RngStream(seed).substream(i)``, and aggregation runs over the stored
 per-replication values in index order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .archimedean import GumbelGenerator
 from .errors import EstimationError, NumericalError
-from .portfolio import DefaultScale, Portfolio
+from .portfolio import LOSS_EPS, DefaultScale, LossModel, Portfolio, check_model
 from .rng import RngStream
 from .stable import PositiveStableLaw
 
 _KINDS = ("naive", "importance", "conditional")
 _REJECTION_CAP = 10**6
-_LOSS_EPS = 1e-9  # strictness snap: "loss exceeds nb" means loss > nb + _LOSS_EPS
+_TWIST_STEPS = 200  # cap on the bracket doublings and on the Newton steps of the twist solve
 
 
 @dataclass(frozen=True)
@@ -50,23 +51,24 @@ class EstimatorConfig:
     seed: int
     x0: float = 1.0
     kind: str = "conditional"
-    threads: int = 1
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError(f"tail index must exceed 1, got {self.alpha}")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {_KINDS}")
         if self.m < 2:
             raise ValueError(f"need at least 2 replications, got {self.m}")
         if not self.x0 > 0.0:
             raise ValueError(f"splice point x0 must be positive, got {self.x0}")
-        if self.threads < 1:
-            raise ValueError(f"thread count must be >= 1, got {self.threads}")
-        cbar = self.portfolio.mean_exposure
-        if not 0.0 < self.b < cbar:
-            raise ValueError(f"loss level must lie in (0, {cbar}), got {self.b}")
-        self.scale.validate(self.portfolio)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        f_n = check_model(self.portfolio, self.alpha, self.scale, self.b)
+        if self.kind == "importance":
+            phi_f = GumbelGenerator(self.alpha).phi_one_minus(f_n)
+            if not phi_f < 1.0:
+                raise ValueError(
+                    f"splice tail shape undefined: phi(1 - f_n)={phi_f} >= 1; "
+                    "the default scale is too large for importance sampling"
+                )
 
 
 @dataclass(frozen=True)
@@ -89,33 +91,19 @@ class TwistState:
 
     theta: float
     twisted: tuple[float, ...]
-    cumulant: float
 
 
 class RunContext:
-    """Precomputed model quantities shared by every replication of a run."""
+    """Run-level state shared by every replication: the loss model, the mixing
+    law and, for importance sampling, the splice constants."""
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
-        pf = config.portfolio
-        self.pf = pf
-        self.gen = GumbelGenerator(config.alpha)
-        self.law: PositiveStableLaw = self.gen.mixing_law()
-        self.f_n = config.scale.validate(pf)
-        self.n = pf.n
-        self.nb = pf.n * config.b
-        self.counts = tuple(int(g.count) for g in pf.groups)
-        self.exposures = tuple(float(g.exposure) for g in pf.groups)
-        self.phi_l = tuple(self.gen.phi_one_minus(g.pd_scale * self.f_n) for g in pf.groups)
-        self.phi_f = self.gen.phi_one_minus(self.f_n)
+        self.model = model = LossModel(config.portfolio, config.alpha, config.scale, config.b)
+        self.law: PositiveStableLaw = model.gen.mixing_law()
 
         if config.kind == "importance":
-            if not self.phi_f < 1.0:
-                raise ValueError(
-                    f"splice tail shape undefined: phi(1 - f_n)={self.phi_f} >= 1; "
-                    "the default scale is too large for importance sampling"
-                )
-            self.eta = -1.0 / math.log(self.phi_f)
+            self.eta = -1.0 / math.log(model.gen.phi_one_minus(model.f_n))
             self.sf_x0 = self.law.sf(config.x0)
             self.cdf_x0 = 1.0 - self.sf_x0
             self.log_tail_norm = (
@@ -124,24 +112,12 @@ class RunContext:
                 else -math.inf
             )
 
-        if config.kind == "conditional":
-            if self.f_n < 1.0 / (10.0 * self.n):
-                warnings.warn(
-                    f"default scale f_n={self.f_n:g} decays faster than 1/(10 n); the "
-                    "conditional estimator's error guarantees weaken in this regime",
-                    stacklevel=3,
-                )
-            c = pf.homogeneous_exposure
-            if c is not None:
-                self.k_hom = max(int(math.floor(self.nb / c + _LOSS_EPS)) + 1, 1)
-            else:
-                self.k_hom = None
-
-    def exceeds(self, loss: float) -> bool:
-        return loss > self.nb + _LOSS_EPS
-
-    def conditional_probs(self, v_raw: float) -> tuple[float, ...]:
-        return tuple(-math.expm1(-v_raw * pl) for pl in self.phi_l)
+        if config.kind == "conditional" and model.f_n < 1.0 / (10.0 * model.n):
+            warnings.warn(
+                f"default scale f_n={model.f_n:g} decays faster than 1/(10 n); the "
+                "conditional estimator's error guarantees weaken in this regime",
+                stacklevel=3,
+            )
 
 
 # twisting ---------------------------------------------------------------
@@ -153,7 +129,7 @@ def solve_theta_star(pf: Portfolio, probs, b: float) -> TwistState:
     If the untwisted mean loss already reaches n*b the probabilities are left
     unchanged (theta = 0).  Otherwise the strictly increasing derivative of
     the conditional cumulant is inverted by safeguarded Newton iteration to
-    |mean loss - n*b| <= 1e-9 * n*b.
+    |mean loss - n*b| <= 1e-9 * n*b, else NumericalError.
     """
     counts = tuple(int(g.count) for g in pf.groups)
     exposures = tuple(float(g.exposure) for g in pf.groups)
@@ -167,7 +143,7 @@ def solve_theta_star(pf: Portfolio, probs, b: float) -> TwistState:
 def _solve_twist(counts, exposures, probs, nb: float) -> TwistState:
     mean0 = sum(n * c * p for n, c, p in zip(counts, exposures, probs))
     if mean0 >= nb:
-        return TwistState(0.0, tuple(probs), 0.0)
+        return TwistState(0.0, tuple(probs))
     attainable = sum(n * c for n, c, p in zip(counts, exposures, probs) if p > 0.0)
     if nb >= attainable:
         raise ValueError(
@@ -179,7 +155,7 @@ def _solve_twist(counts, exposures, probs, nb: float) -> TwistState:
         n, c, p = counts[0], exposures[0], probs[0]
         q = nb / (n * c)
         theta = math.log(q * (1.0 - p) / (p * (1.0 - q))) / c
-        return TwistState(theta, (q,), _cumulant(counts, exposures, probs, theta))
+        return TwistState(theta, (q,))
 
     def mean_at(theta: float) -> float:
         total = 0.0
@@ -189,7 +165,7 @@ def _solve_twist(counts, exposures, probs, nb: float) -> TwistState:
         return total
 
     hi = 1.0
-    for _ in range(200):
+    for _ in range(_TWIST_STEPS):
         if mean_at(hi) > nb:
             break
         hi *= 2.0
@@ -197,7 +173,7 @@ def _solve_twist(counts, exposures, probs, nb: float) -> TwistState:
         raise NumericalError(f"could not bracket the twist parameter for n*b={nb}")
     lo, theta = 0.0, hi / 2.0
     tol = 1e-9 * nb
-    for _ in range(200):
+    for _ in range(_TWIST_STEPS):
         g = mean_at(theta) - nb
         if abs(g) <= tol:
             break
@@ -214,19 +190,15 @@ def _solve_twist(counts, exposures, probs, nb: float) -> TwistState:
                 slope += n * c * c * p * (1.0 - p) * e / (d * d)
         step = theta - g / slope if slope > 0.0 else None
         theta = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+    else:
+        raise NumericalError(
+            f"twist solve for n*b={nb} did not converge in {_TWIST_STEPS} steps", achieved=abs(g)
+        )
     twisted = tuple(
         p / (p + (1.0 - p) * math.exp(-theta * c)) if p > 0.0 else 0.0
         for c, p in zip(exposures, probs)
     )
-    return TwistState(theta, twisted, _cumulant(counts, exposures, probs, theta))
-
-
-def _cumulant(counts, exposures, probs, theta: float) -> float:
-    """log E[exp(theta * loss)] given the conditional probabilities."""
-    total = 0.0
-    for n, c, p in zip(counts, exposures, probs):
-        total += n * (theta * c + math.log(p + (1.0 - p) * math.exp(-theta * c)))
-    return total
+    return TwistState(theta, twisted)
 
 
 # per-replication estimators ----------------------------------------------
@@ -234,12 +206,12 @@ def _cumulant(counts, exposures, probs, theta: float) -> float:
 
 def naive_tail_one_rep(ctx: RunContext, rng: RngStream) -> float:
     """Indicator of the loss event under plain simulation of the mixture model."""
+    model = ctx.model
     v = ctx.law.sample(rng)
     loss = 0.0
-    for n_j, c_j, pl in zip(ctx.counts, ctx.exposures, ctx.phi_l):
-        p = -math.expm1(-v * pl)
+    for n_j, c_j, p in zip(model.counts, model.exposures, model.default_probs(v)):
         loss += c_j * rng.binomial(n_j, p)
-    return 1.0 if ctx.exceeds(loss) else 0.0
+    return 1.0 if model.exceeds(loss) else 0.0
 
 
 def is_sample_v(ctx: RunContext, rng: RngStream) -> tuple[float, float]:
@@ -271,13 +243,14 @@ def is_sample_v(ctx: RunContext, rng: RngStream) -> tuple[float, float]:
 
 def _is_loss_and_weight(ctx: RunContext, rng: RngStream) -> tuple[float, float]:
     """One proposal draw: realized loss and its unbiasing likelihood ratio."""
+    model = ctx.model
     v, lr_v = is_sample_v(ctx, rng)
-    probs = ctx.conditional_probs(v)
-    twist = _solve_twist(ctx.counts, ctx.exposures, probs, ctx.nb)
+    probs = model.default_probs(v)
+    twist = _solve_twist(model.counts, model.exposures, probs, model.nb)
     theta = twist.theta
     loss = 0.0
     log_w = 0.0
-    for n_j, c_j, p, pt in zip(ctx.counts, ctx.exposures, probs, twist.twisted):
+    for n_j, c_j, p, pt in zip(model.counts, model.exposures, probs, twist.twisted):
         d = rng.binomial(n_j, pt) if pt > 0.0 else 0
         loss += c_j * d
         if theta != 0.0:
@@ -291,7 +264,7 @@ def _is_loss_and_weight(ctx: RunContext, rng: RngStream) -> tuple[float, float]:
 def is_tail_one_rep(ctx: RunContext, rng: RngStream) -> float:
     """Weighted indicator: likelihood ratio when the loss event occurs, else 0."""
     loss, weight = _is_loss_and_weight(ctx, rng)
-    return weight if ctx.exceeds(loss) else 0.0
+    return weight if ctx.model.exceeds(loss) else 0.0
 
 
 def condmc_one_rep(ctx: RunContext, rng: RngStream) -> float:
@@ -301,22 +274,25 @@ def condmc_one_rep(ctx: RunContext, rng: RngStream) -> float:
     scale, and returns the stable survival function at the order statistic
     that tips the cumulative exposure above n*b.
     """
-    if len(ctx.counts) == 1:
-        r = rng.standard_exponential(ctx.counts[0])
-        o_k = np.partition(r, ctx.k_hom - 1)[ctx.k_hom - 1] / ctx.phi_l[0]
+    model = ctx.model
+    k = model.k
+    if len(model.counts) == 1:
+        r = rng.standard_exponential(model.counts[0])
+        o_k = np.partition(r, k - 1)[k - 1] / model.phis[0]
         return float(ctx.law.sf(o_k))
     chunks = [
-        rng.standard_exponential(n_j) / pl for n_j, pl in zip(ctx.counts, ctx.phi_l)
+        rng.standard_exponential(n_j) / phi for n_j, phi in zip(model.counts, model.phis)
     ]
     o = np.concatenate(chunks)
-    if ctx.k_hom is not None:
-        o_k = np.partition(o, ctx.k_hom - 1)[ctx.k_hom - 1]
+    if k is not None:
+        o_k = np.partition(o, k - 1)[k - 1]
         return float(ctx.law.sf(o_k))
     order = np.argsort(o, kind="stable")
-    cum = np.cumsum(np.repeat(np.asarray(ctx.exposures), ctx.counts)[order])
-    idx = int(np.searchsorted(cum, ctx.nb + _LOSS_EPS, side="right"))
+    cum = np.cumsum(np.repeat(np.asarray(model.exposures), model.counts)[order])
+    # first default after which the loss event holds
+    idx = int(np.searchsorted(cum, model.nb + LOSS_EPS, side="right"))
     if idx >= o.size:
-        raise ValueError(f"loss level unattainable: n*b={ctx.nb} >= total exposure")
+        raise ValueError(f"loss level unattainable: n*b={model.nb} >= total exposure")
     return float(ctx.law.sf(o[order[idx]]))
 
 
@@ -380,41 +356,15 @@ _ONE_REP = {
 }
 
 
-def _for_each_replication(config: EstimatorConfig, body) -> None:
-    """Run body(i, substream i) for every replication index, threads permitting.
-
-    Each replication draws only from its own substream, so the work can be
-    partitioned arbitrarily without changing any value.
-    """
-    root = RngStream(config.seed)
-
-    def worker(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            body(i, root.substream(i))
-
-    if config.threads == 1:
-        worker(0, config.m)
-        return
-    bounds = np.linspace(0, config.m, config.threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        futures = [
-            pool.submit(worker, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        for f in futures:
-            f.result()
-
-
 def run_tail_estimate(config: EstimatorConfig) -> EstimateReport:
     """Estimate the loss-event probability with the configured estimator."""
     t0 = time.perf_counter()
     ctx = RunContext(config)
     one_rep = _ONE_REP[config.kind]
+    root = RngStream(config.seed)
     values = np.empty(config.m)
-
-    def body(i: int, stream: RngStream) -> None:
-        values[i] = one_rep(ctx, stream)
-
-    _for_each_replication(config, body)
+    for i in range(config.m):
+        values[i] = one_rep(ctx, root.substream(i))
     return aggregate(values, "bernoulli", seed=config.seed, runtime_s=time.perf_counter() - t0)
 
 
@@ -426,32 +376,21 @@ def is_expected_shortfall(config: EstimatorConfig) -> EstimateReport:
     delta method on the (numerator, denominator) pair.
     """
     if config.kind != "importance":
-        config = EstimatorConfig(
-            portfolio=config.portfolio,
-            alpha=config.alpha,
-            scale=config.scale,
-            b=config.b,
-            m=config.m,
-            seed=config.seed,
-            x0=config.x0,
-            kind="importance",
-            threads=config.threads,
-        )
+        config = dataclasses.replace(config, kind="importance")
     t0 = time.perf_counter()
     ctx = RunContext(config)
+    nb = ctx.model.nb
+    root = RngStream(config.seed)
     losses = np.empty(config.m)
     weights = np.empty(config.m)
-
-    def body(i: int, stream: RngStream) -> None:
-        losses[i], weights[i] = _is_loss_and_weight(ctx, stream)
-
-    _for_each_replication(config, body)
-    exceed = losses > ctx.nb + _LOSS_EPS
+    for i in range(config.m):
+        losses[i], weights[i] = _is_loss_and_weight(ctx, root.substream(i))
+    exceed = ctx.model.exceeds(losses)
     if not exceed.any():
         raise EstimationError(
             f"no replication exceeded the loss level (m={config.m}); increase m"
         )
-    num = np.where(exceed, (losses - ctx.nb) * weights, 0.0)
+    num = np.where(exceed, (losses - nb) * weights, 0.0)
     den = np.where(exceed, weights, 0.0)
     num_mean = float(num.mean())
     den_mean = float(den.mean())
@@ -459,7 +398,7 @@ def is_expected_shortfall(config: EstimatorConfig) -> EstimateReport:
         raise EstimationError(
             "all exceeding replications carried zero likelihood weight; increase m"
         )
-    estimate = ctx.nb + num_mean / den_mean
+    estimate = nb + num_mean / den_mean
     cov = np.cov(np.vstack([num, den]), ddof=1)
     var_ratio = (
         cov[0, 0] / den_mean**2

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archimedean import ArchimedeanGenerator
+from .archimedean import GumbelGenerator
+from .errors import NumericalError
 
-_INDEX_EPS = 1e-9  # snap for integer-boundary comparisons of nb against cumulative exposure
+LOSS_EPS = 1e-9  # "loss exceeds n*b" means loss > n*b + LOSS_EPS; snaps integer boundaries
+_VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar
 
 
 @dataclass(frozen=True)
@@ -144,31 +146,42 @@ class DefaultScale:
 # operations -----------------------------------------------------------------
 
 
-def conditional_default_prob(
-    pf: Portfolio, scale: DefaultScale, gen: ArchimedeanGenerator, v_raw: float, group: int
-) -> float:
-    """Default probability of a group-j obligor given the raw mixture value.
+def check_model(pf: Portfolio, alpha: float, scale: DefaultScale, b: float) -> float:
+    """Validate alpha > 1 and 0 < b < mean exposure; return f_n resolved against pf."""
+    if not alpha > 1.0:
+        raise ValueError(f"tail index must exceed 1, got {alpha}")
+    cbar = pf.mean_exposure
+    if not 0.0 < b < cbar:
+        raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")
+    return scale.validate(pf)
 
-    Equals 1 - exp(-v_raw * phi(1 - l_j f_n)); increasing in both v_raw and
-    the group's pd_scale.
+
+class LossModel:
+    """The conditional default model that every estimator simulates.
+
+    Given the raw mixing variable V, a group-j obligor defaults independently
+    with probability p_j(V) = 1 - exp(-V * phi(1 - l_j f_n)), and the loss
+    event is loss > n*b.  Built once per run; the per-replication methods
+    work on Python floats.
     """
-    if v_raw <= 0.0:
-        raise ValueError(f"conditioning value must be positive, got {v_raw}")
-    g = pf.groups[group]
-    f_n = scale.validate(pf)
-    return -math.expm1(-v_raw * gen.phi_one_minus(g.pd_scale * f_n))
 
+    def __init__(self, pf: Portfolio, alpha: float, scale: DefaultScale, b: float):
+        self.f_n = check_model(pf, alpha, scale, b)
+        self.gen = GumbelGenerator(alpha)
+        self.n = pf.n
+        self.nb = pf.n * b
+        self.counts = tuple(int(g.count) for g in pf.groups)
+        self.exposures = tuple(float(g.exposure) for g in pf.groups)
+        self.phis = tuple(self.gen.phi_one_minus(g.pd_scale * self.f_n) for g in pf.groups)
+        self.k = threshold_index(pf, b)
 
-def conditional_default_prob_scaled(
-    pf: Portfolio, scale: DefaultScale, gen: ArchimedeanGenerator, v: float, group: int
-) -> float:
-    """Same probability under the normalized parameterization v = V * phi(1 - f_n)."""
-    if v <= 0.0:
-        raise ValueError(f"conditioning value must be positive, got {v}")
-    g = pf.groups[group]
-    f_n = scale.validate(pf)
-    ratio = gen.phi_one_minus(g.pd_scale * f_n) / gen.phi_one_minus(f_n)
-    return -math.expm1(-v * ratio)
+    def default_probs(self, v: float) -> tuple[float, ...]:
+        """p_j(v) for every group; increasing in v and in the group's pd_scale."""
+        return tuple(-math.expm1(-v * phi) for phi in self.phis)
+
+    def exceeds(self, loss):
+        """The loss event, for one loss or elementwise for an array of losses."""
+        return loss > self.nb + LOSS_EPS
 
 
 def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
@@ -189,7 +202,7 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     """Invert the limiting loss curve: the unique v with r(v) = b.
 
     Bracketing bisection with doubling; tolerance 1e-12 of the mean exposure
-    in r-units.
+    in r-units, else NumericalError.
     """
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
@@ -201,7 +214,7 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
             raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
     lo = 0.0
     tol = 1e-12 * cbar
-    for _ in range(200):
+    for _ in range(_VSTAR_STEPS):
         mid = 0.5 * (lo + hi)
         r = limiting_mean_loss(pf, alpha, mid)
         if abs(r - b) <= tol:
@@ -210,33 +223,30 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise NumericalError(
+        f"bisection for v* at b={b} did not converge in {_VSTAR_STEPS} steps", achieved=abs(r - b)
+    )
 
 
-def threshold_index(pf: Portfolio, b: float) -> tuple[int, np.ndarray]:
+def threshold_index(pf: Portfolio, b: float) -> int | None:
     """Smallest default count whose cumulative exposure strictly exceeds n*b.
 
-    Valid as a constant only for equal-exposure portfolios, where any default
-    order accumulates the same exposure; returns (k, per-obligor exposures).
-    For mixed exposures the index depends on the realized default order and
-    is computed per replication inside the conditional Monte Carlo estimator.
+    A constant only for equal-exposure portfolios, where any default order
+    accumulates the same exposure.  For mixed exposures it returns None: the
+    index depends on the realized default order and is found per replication
+    inside the conditional Monte Carlo estimator.
     """
     nb = pf.n * b
     if b < 0.0:
         raise ValueError(f"loss level must be nonnegative, got {b}")
-    if nb >= pf.total_exposure - _INDEX_EPS:
+    if nb >= pf.total_exposure - LOSS_EPS:
         raise ValueError(
             f"loss level unattainable: n*b={nb} >= total exposure {pf.total_exposure}"
         )
-    flat = np.repeat(pf.exposures, pf.counts)
     c = pf.homogeneous_exposure
     if c is None:
-        raise ValueError(
-            "threshold index is replication-dependent for mixed exposures; "
-            "it is resolved inside the conditional Monte Carlo estimator"
-        )
-    k = int(math.floor(nb / c + _INDEX_EPS)) + 1
-    return max(k, 1), flat
+        return None
+    return max(int(math.floor(nb / c + LOSS_EPS)) + 1, 1)
 
 
 def realized_loss(pf: Portfolio, defaults: "np.ndarray | list[int]") -> float:

@@ -3,7 +3,7 @@
 Every sampler in this package draws from an :class:`RngStream`.  A stream is
 identified by a root seed plus a key of substream indices; substreams derived
 from the same (seed, key) are statistically independent and reproducible, so
-replications can run in any order (or in parallel) without changing results.
+replications can run in any order without changing results.
 """
 
 from __future__ import annotations

@@ -290,8 +290,6 @@ def test_criterion_10_preset_determinism(tmp_path):
                 "5000",
                 "--seed",
                 "42",
-                "--threads",
-                "2",
                 "--output",
                 str(path),
             ],

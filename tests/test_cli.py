@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import archcredit.cli as cli
 from archcredit.cli import COLUMNS, main
 
 
@@ -87,15 +88,46 @@ class TestEstimateCommand:
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alhpa": 1.5}))
-        code, _, err = run_cli(capsys, "estimate", "--config", str(cfg))
-        assert code == 2
-        assert "alhpa" in err
+        for key in ("alhpa", "threads"):  # there is no thread-count setting
+            cfg.write_text(json.dumps({key: 1}))
+            code, _, err = run_cli(capsys, "estimate", "--config", str(cfg))
+            assert code == 2
+            assert key in err
 
     def test_invalid_level_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--b", "1.5", "--m", "100")
         assert code == 2
         assert "loss level" in err
+
+    def test_checks_of_the_run_inputs_are_config_errors(self, capsys):
+        for argv, what in (
+            (["--seed", "-1"], "seed"),
+            (["--method", "importance", "--n", "20", "--l", "0.2", "--scale", "constant",
+              "--f", "0.95", "--b", "0.1"], "splice"),
+        ):
+            code, out, err = run_cli(capsys, "estimate", "--m", "10", *argv)
+            assert code == 2
+            assert out == ""
+            assert what in err
+
+    def test_value_error_fails_only_its_row(self, capsys, monkeypatch):
+        real = cli.run_tail_estimate
+        calls = []
+
+        def fail_first(config):
+            calls.append(config.seed)
+            if len(calls) == 1:
+                raise ValueError("injected failure")
+            return real(config)
+
+        monkeypatch.setattr(cli, "run_tail_estimate", fail_first)
+        code, out, err = run_cli(
+            capsys, "estimate", "--method", "conditional", "--b", "0.5", "--b", "0.8",
+            "--m", "50", "--seed", "4",
+        )
+        assert code == 3
+        assert [r["estimate"] == "" for r in parse_csv(out)] == [True, False]
+        assert "injected failure" in err
 
     def test_config_file_with_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -194,7 +226,7 @@ class TestOutputContracts:
     def test_output_file_and_repeat_runs_byte_identical(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        args = ["table", "2", "--m", "200", "--seed", "3", "--threads", "2"]
+        args = ["table", "2", "--m", "200", "--seed", "3"]
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         capsys.readouterr()

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import archcredit.portfolio as portfolio
 from archcredit import (
     DefaultScale,
     GumbelGenerator,
+    LossModel,
+    NumericalError,
     Portfolio,
     SubPortfolio,
-    conditional_default_prob,
-    conditional_default_prob_scaled,
     limiting_mean_loss,
     realized_loss,
     solve_vstar,
@@ -74,45 +75,51 @@ class TestTypes:
 
 class TestConditionalDefaultProb:
     def test_limits(self, homog):
-        gen = GumbelGenerator(1.5)
-        scale = DefaultScale.reciprocal()
-        assert conditional_default_prob(homog, scale, gen, 1e-12, 0) == pytest.approx(0.0, abs=1e-12)
-        assert conditional_default_prob(homog, scale, gen, 1e12, 0) == pytest.approx(1.0, abs=1e-6)
+        model = LossModel(homog, 1.5, DefaultScale.reciprocal(), 0.8)
+        assert model.default_probs(1e-12)[0] == pytest.approx(0.0, abs=1e-12)
+        assert model.default_probs(1e12)[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_in_v_and_scale(self, two_group):
-        gen = GumbelGenerator(1.5)
-        scale = DefaultScale.reciprocal()
-        p1 = conditional_default_prob(two_group, scale, gen, 10.0, 0)
-        p2 = conditional_default_prob(two_group, scale, gen, 20.0, 0)
+        model = LossModel(two_group, 1.5, DefaultScale.reciprocal(), 0.8)
+        p1, q1 = model.default_probs(10.0)
+        p2 = model.default_probs(20.0)[0]
         assert 0.0 < p1 < p2 < 1.0
         # group 1 has the larger pd multiplier
-        q1 = conditional_default_prob(two_group, scale, gen, 10.0, 1)
         assert q1 > p1
 
     def test_bad_group_index(self, homog):
-        gen = GumbelGenerator(1.5)
+        probs = LossModel(homog, 1.5, DefaultScale.reciprocal(), 0.8).default_probs(1.0)
+        assert len(probs) == 1  # one probability per group
         with pytest.raises(IndexError):
-            conditional_default_prob(homog, DefaultScale.reciprocal(), gen, 1.0, 3)
+            probs[3]
 
     def test_scaled_form_cross_check(self, homog):
-        # scaled value 1 - exp(-phi(0.999)/phi(0.998)) by direct evaluation
+        # at the normalized value v = V * phi(1 - f_n) = 1 the probability is
+        # 1 - exp(-phi(0.999)/phi(0.998)), by direct evaluation
         gen = GumbelGenerator(1.5)
-        scale = DefaultScale.reciprocal()
-        got = conditional_default_prob_scaled(homog, scale, gen, 1.0, 0)
-        ratio = gen.phi_one_minus(0.5 / 500) / gen.phi_one_minus(1 / 500)
-        assert got == pytest.approx(-math.expm1(-ratio), rel=1e-14)
-        # the two parameterizations agree through v_raw = v / phi(1 - f_n)
-        v_raw = 1.0 / gen.phi_one_minus(1 / 500)
-        raw = conditional_default_prob(homog, scale, gen, v_raw, 0)
-        assert raw == pytest.approx(got, rel=1e-12)
+        model = LossModel(homog, 1.5, DefaultScale.reciprocal(), 0.8)
+        phi_f = gen.phi_one_minus(1 / 500)
+        got = model.default_probs(1.0 / phi_f)[0]
+        ratio = gen.phi_one_minus(0.5 / 500) / phi_f
+        assert got == pytest.approx(-math.expm1(-ratio), rel=1e-12)
+        assert model.phis == (gen.phi_one_minus(0.5 / 500),)
 
     def test_small_scale_limit(self):
-        # as f_n -> 0 the scaled probability approaches 1 - exp(-v l**alpha)
+        # as f_n -> 0 the probability at v = 1 / phi(1 - f_n) approaches
+        # 1 - exp(-l**alpha)
         gen = GumbelGenerator(1.5)
         pf = Portfolio.homogeneous(500, pd_scale=0.5)
-        got = conditional_default_prob_scaled(pf, DefaultScale.constant(1e-6), gen, 1.0, 0)
+        model = LossModel(pf, 1.5, DefaultScale.constant(1e-6), 0.8)
+        got = model.default_probs(1.0 / gen.phi_one_minus(1e-6))[0]
         assert got == pytest.approx(1.0 - math.exp(-(0.5**1.5)), abs=1e-3)
         assert got == pytest.approx(0.29781149867344037, abs=1e-3)
+
+    def test_exceedance_is_strict(self, homog):
+        model = LossModel(homog, 1.5, DefaultScale.reciprocal(), 0.8)
+        assert not model.exceeds(400.0)
+        assert model.exceeds(401.0)
+        np.testing.assert_array_equal(model.exceeds(np.array([399.0, 400.0, 401.0])),
+                                      [False, False, True])
 
 
 class TestLimitingMeanLoss:
@@ -164,6 +171,12 @@ class TestSolveVstar:
     def test_small_b(self, homog):
         assert solve_vstar(homog, 1.5, 1e-9) < 1e-7
 
+    def test_step_cap_raises(self, homog, monkeypatch):
+        monkeypatch.setattr(portfolio, "_VSTAR_STEPS", 1)
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            solve_vstar(homog, 1.5, 0.8)
+        assert info.value.achieved > 1e-12
+
     def test_domain_error_names_bound(self, homog):
         with pytest.raises(ValueError, match="1"):
             solve_vstar(homog, 1.5, 1.5)
@@ -174,29 +187,26 @@ class TestSolveVstar:
 class TestThresholdIndex:
     def test_strict_exceedance_at_integer_boundary(self, homog):
         # 400 defaults lose exactly n*b; the event needs strictly more
-        k, exposures = threshold_index(homog, 0.8)
-        assert k == 401
-        assert exposures.shape == (500,)
-        assert np.all(exposures == 1.0)
+        assert threshold_index(homog, 0.8) == 401
 
     def test_small_portfolio(self):
         pf = Portfolio.homogeneous(100)
-        assert threshold_index(pf, 0.3)[0] == 31
+        assert threshold_index(pf, 0.3) == 31
 
     def test_non_integer_boundary_matches_ceiling(self):
         pf = Portfolio.homogeneous(100)
-        assert threshold_index(pf, 0.305)[0] == 31  # ceil(30.5)
+        assert threshold_index(pf, 0.305) == 31  # ceil(30.5)
 
     def test_zero_level(self, homog):
-        assert threshold_index(homog, 0.0)[0] == 1
+        assert threshold_index(homog, 0.0) == 1
 
     def test_unattainable(self, homog):
         with pytest.raises(ValueError, match="unattainable"):
             threshold_index(homog, 1.0)
 
     def test_heterogeneous_exposures_deferred(self, two_group):
-        with pytest.raises(ValueError, match="replication"):
-            threshold_index(two_group, 0.5)
+        # mixed exposures: the index is found per replication
+        assert threshold_index(two_group, 0.5) is None
 
 
 class TestRealizedLoss:
