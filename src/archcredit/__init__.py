@@ -20,11 +20,12 @@ from .estimators import (
     RunContext,
     TwistState,
     aggregate,
-    condmc_one_rep,
+    condmc_block,
     is_expected_shortfall,
     is_sample_v,
-    is_tail_one_rep,
-    naive_tail_one_rep,
+    is_tail_block,
+    naive_tail_block,
+    replicate,
     run_tail_estimate,
     solve_theta_star,
 )
@@ -57,16 +58,17 @@ __all__ = [
     "SubPortfolio",
     "TwistState",
     "aggregate",
-    "condmc_one_rep",
+    "condmc_block",
     "expected_shortfall_asymptotic",
     "homogeneous_shortfall_asymptotic",
     "homogeneous_tail_asymptotic",
     "is_expected_shortfall",
     "is_sample_v",
-    "is_tail_one_rep",
+    "is_tail_block",
     "limiting_mean_loss",
-    "naive_tail_one_rep",
+    "naive_tail_block",
     "realized_loss",
+    "replicate",
     "run_tail_estimate",
     "sample_uniforms",
     "solve_theta_star",

@@ -12,9 +12,10 @@ exponentials and returns the exact conditional exceedance probability, a
 survival evaluation of the stable law at an order statistic.
 
 The model itself (conditional default probabilities, threshold index, loss
-event) comes from :class:`~archcredit.portfolio.LossModel`.  Replications are
-independent given disjoint substreams: replication i always consumes
-``RngStream(seed).substream(i)``, and aggregation runs over the stored
+event) comes from :class:`~archcredit.portfolio.LossModel`.  Replications run
+in blocks of ``B = 64``, each in one array pass: block j holds replications
+jB .. min((j+1)B, m) - 1 (the last block is partial) and draws everything from
+``RngStream(seed).substream(j)``.  Aggregation runs over the stored
 per-replication values in index order.
 """
 
@@ -35,7 +36,8 @@ from .rng import RngStream
 from .stable import PositiveStableLaw
 
 _KINDS = ("naive", "importance", "conditional")
-_REJECTION_CAP = 10**6
+B = 64  # replications per block; block j draws from RngStream(seed).substream(j)
+_REJECTION_CAP = 10**6  # rejection rounds allowed to fill the body draws of one block
 _TWIST_STEPS = 200  # cap on the bracket doublings and on the Newton steps of the twist solve
 
 
@@ -131,169 +133,194 @@ def solve_theta_star(pf: Portfolio, probs, b: float) -> TwistState:
     the conditional cumulant is inverted by safeguarded Newton iteration to
     |mean loss - n*b| <= 1e-9 * n*b, else NumericalError.
     """
+    probs = np.array([probs], dtype=float)
+    if np.any(~((probs > 0.0) & (probs < 1.0))):
+        raise ValueError("conditional probabilities must lie strictly inside (0, 1)")
     counts = tuple(int(g.count) for g in pf.groups)
     exposures = tuple(float(g.exposure) for g in pf.groups)
-    probs = tuple(float(p) for p in probs)
-    if any(not 0.0 < p < 1.0 for p in probs):
-        raise ValueError("conditional probabilities must lie strictly inside (0, 1)")
-    nb = pf.n * b
-    return _solve_twist(counts, exposures, probs, nb)
+    theta, twisted = _solve_twist(counts, exposures, probs, pf.n * b)
+    return TwistState(float(theta[0]), tuple(float(p) for p in twisted[0]))
 
 
-def _solve_twist(counts, exposures, probs, nb: float) -> TwistState:
-    mean0 = sum(n * c * p for n, c, p in zip(counts, exposures, probs))
-    if mean0 >= nb:
-        return TwistState(0.0, tuple(probs))
-    attainable = sum(n * c for n, c, p in zip(counts, exposures, probs) if p > 0.0)
-    if nb >= attainable:
+def _solve_twist(counts, exposures, probs: np.ndarray, nb: float):
+    """Twist of each row of ``probs`` (one row per replication, one column per
+    group): the parameters theta, shape (rows,), and the twisted probabilities."""
+    nc = np.multiply(counts, exposures)
+    theta = np.zeros(len(probs))
+    twisted = probs.copy()
+    need = probs @ nc < nb
+    if not need.any():
+        return theta, twisted
+    p = probs[need]
+    attainable = np.where(p > 0.0, nc, 0.0).sum(axis=1)
+    if np.any(nb >= attainable):
         raise ValueError(
-            f"twist target n*b={nb} not attainable: twisted mean loss is capped at {attainable}"
+            f"twist target n*b={nb} not attainable: twisted mean loss is capped at "
+            f"{attainable.min()}"
         )
-
-    if len(counts) == 1 and probs[0] > 0.0:
+    c = np.asarray(exposures, dtype=float)
+    if len(c) == 1:
         # single group: p_twisted = nb / (n c) has a closed form
-        n, c, p = counts[0], exposures[0], probs[0]
-        q = nb / (n * c)
-        theta = math.log(q * (1.0 - p) / (p * (1.0 - q))) / c
-        return TwistState(theta, (q,))
+        q = nb / nc[0]
+        theta[need] = np.log(q * (1.0 - p[:, 0]) / (p[:, 0] * (1.0 - q))) / c[0]
+        twisted[need] = q
+        return theta, twisted
+    t = _twist_newton(p, nc, c, nb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        twisted[need] = np.where(p > 0.0, p / (p + (1.0 - p) * np.exp(-t[:, None] * c)), 0.0)
+    theta[need] = t
+    return theta, twisted
 
-    def mean_at(theta: float) -> float:
-        total = 0.0
-        for n, c, p in zip(counts, exposures, probs):
-            if p > 0.0:
-                total += n * c * p / (p + (1.0 - p) * math.exp(-theta * c))
-        return total
 
-    hi = 1.0
+def _twist_newton(p: np.ndarray, nc: np.ndarray, c: np.ndarray, nb: float) -> np.ndarray:
+    """theta > 0 with twisted mean loss n*b for every row of p.
+
+    Bracket doubling, then safeguarded Newton steps; a row stops once its
+    mean loss is within 1e-9 * n*b, and every row ends with the Newton step
+    from its last point when that step stays inside the bracket, which puts
+    theta at the root to rounding at no extra evaluation.
+    """
+    live = p > 0.0
+
+    def mean_and_slope(theta):
+        e = np.exp(-theta[:, None] * c)
+        d = p + (1.0 - p) * e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = np.where(live, nc * p / d, 0.0).sum(axis=1)
+            slope = np.where(live, nc * c * p * (1.0 - p) * e / (d * d), 0.0).sum(axis=1)
+        return mean, slope
+
+    hi = np.ones(len(p))
     for _ in range(_TWIST_STEPS):
-        if mean_at(hi) > nb:
+        short = mean_and_slope(hi)[0] <= nb
+        if not short.any():
             break
-        hi *= 2.0
+        hi[short] *= 2.0
     else:
         raise NumericalError(f"could not bracket the twist parameter for n*b={nb}")
-    lo, theta = 0.0, hi / 2.0
+    lo, theta = np.zeros(len(p)), hi / 2.0
     tol = 1e-9 * nb
     for _ in range(_TWIST_STEPS):
-        g = mean_at(theta) - nb
-        if abs(g) <= tol:
-            break
-        if g < 0.0:
-            lo = theta
-        else:
-            hi = theta
+        mean, slope = mean_and_slope(theta)
+        g = mean - nb
+        active = np.abs(g) > tol
+        lo = np.where(active & (g < 0.0), theta, lo)
+        hi = np.where(active & (g > 0.0), theta, hi)
         # Newton step on the strictly increasing mean, bisection as fallback
-        slope = 0.0
-        for n, c, p in zip(counts, exposures, probs):
-            if p > 0.0:
-                e = math.exp(-theta * c)
-                d = p + (1.0 - p) * e
-                slope += n * c * c * p * (1.0 - p) * e / (d * d)
-        step = theta - g / slope if slope > 0.0 else None
-        theta = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-    else:
-        raise NumericalError(
-            f"twist solve for n*b={nb} did not converge in {_TWIST_STEPS} steps", achieved=abs(g)
-        )
-    twisted = tuple(
-        p / (p + (1.0 - p) * math.exp(-theta * c)) if p > 0.0 else 0.0
-        for c, p in zip(exposures, probs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = theta - g / slope
+        newton = (slope > 0.0) & (lo < step) & (step < hi)
+        if not active.any():
+            return np.where(newton, step, theta)
+        theta = np.where(active, np.where(newton, step, 0.5 * (lo + hi)), theta)
+    raise NumericalError(
+        f"twist solve for n*b={nb} did not converge in {_TWIST_STEPS} steps",
+        achieved=float(np.abs(g).max()),
     )
-    return TwistState(theta, twisted)
 
 
-# per-replication estimators ----------------------------------------------
+# block estimators --------------------------------------------------------
+#
+# Each takes the run context, the substream of one block and the block's
+# size, and returns one value per replication of the block.
 
 
-def naive_tail_one_rep(ctx: RunContext, rng: RngStream) -> float:
-    """Indicator of the loss event under plain simulation of the mixture model."""
+def naive_tail_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
+    """Indicators of the loss event under plain simulation of the mixture model."""
     model = ctx.model
-    v = ctx.law.sample(rng)
-    loss = 0.0
-    for n_j, c_j, p in zip(model.counts, model.exposures, model.default_probs(v)):
-        loss += c_j * rng.binomial(n_j, p)
-    return 1.0 if model.exceeds(loss) else 0.0
+    probs = model.default_probs(ctx.law.sample(rng, size))
+    defaults = rng.binomial(model.counts, probs)
+    return model.exceeds(defaults @ np.asarray(model.exposures)).astype(float)
 
 
-def is_sample_v(ctx: RunContext, rng: RngStream) -> tuple[float, float]:
-    """Draw the mixing variable from the spliced proposal density.
+def is_sample_v(ctx: RunContext, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``size`` mixing variables from the spliced proposal density, with
+    their likelihood factors.
 
     Below the splice point x0 the stable law itself is used (rejection
-    against the unconditional sampler) and the likelihood factor is 1; above
-    it a Pareto tail is drawn and the factor is the density ratio.
+    against the unconditional sampler; each round draws as many values as
+    are expected to fill the unfilled replications, at most B per
+    replication) and the factor is 1; above it a Pareto tail is drawn and the
+    factor is the density ratio.
     """
-    if rng.uniform() < ctx.cdf_x0:
-        for _ in range(_REJECTION_CAP):
-            v = ctx.law.sample(rng)
-            if v < ctx.config.x0:
-                return v, 1.0
+    x0 = ctx.config.x0
+    body = rng.uniform(size=size) < ctx.cdf_x0
+    v = np.empty(size)
+    slots = np.flatnonzero(body)
+    for _ in range(_REJECTION_CAP):
+        if not slots.size:
+            break
+        draws = ctx.law.sample(rng, math.ceil(slots.size / max(ctx.cdf_x0, 1.0 / B)))
+        draws = draws[draws < x0][: slots.size]
+        v[slots[: draws.size]] = draws
+        slots = slots[draws.size :]
+    if slots.size:
         raise NumericalError(
-            f"rejection sampling below x0={ctx.config.x0} exceeded {_REJECTION_CAP} draws; "
+            f"rejection sampling below x0={x0} exceeded {_REJECTION_CAP} rounds; "
             "the splice point is too far into the left tail"
         )
-    u = rng.uniform()
-    while u <= 0.0:
-        u = rng.uniform()
-    v = ctx.config.x0 * u ** (-1.0 / ctx.eta)
-    num = ctx.law.pdf(v)
-    if num <= 0.0:
-        return v, 0.0
-    log_den = ctx.log_tail_norm - (ctx.eta + 1.0) * math.log(v)
-    return v, math.exp(math.log(num) - log_den)
+    tail = ~body
+    u = 1.0 - rng.uniform(size=int(tail.sum()))  # in (0, 1]
+    v[tail] = x0 * u ** (-1.0 / ctx.eta)
+    num = ctx.law.pdf(v[tail])
+    log_den = ctx.log_tail_norm - (ctx.eta + 1.0) * np.log(v[tail])
+    lr = np.ones(size)
+    with np.errstate(divide="ignore"):
+        lr[tail] = np.where(num > 0.0, np.exp(np.log(num) - log_den), 0.0)
+    return v, lr
 
 
-def _is_loss_and_weight(ctx: RunContext, rng: RngStream) -> tuple[float, float]:
-    """One proposal draw: realized loss and its unbiasing likelihood ratio."""
+def _is_loss_and_weight(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
+    """Proposal draws: realized losses (row 0) and their unbiasing likelihood
+    ratios (row 1)."""
     model = ctx.model
-    v, lr_v = is_sample_v(ctx, rng)
+    v, lr_v = is_sample_v(ctx, rng, size)
     probs = model.default_probs(v)
-    twist = _solve_twist(model.counts, model.exposures, probs, model.nb)
-    theta = twist.theta
-    loss = 0.0
-    log_w = 0.0
-    for n_j, c_j, p, pt in zip(model.counts, model.exposures, probs, twist.twisted):
-        d = rng.binomial(n_j, pt) if pt > 0.0 else 0
-        loss += c_j * d
-        if theta != 0.0:
-            # log(p/pt) = log D and log((1-p)/(1-pt)) = theta c + log D
-            # with D = p + (1-p) exp(-theta c); exact also at p = 1
-            log_d = math.log(p + (1.0 - p) * math.exp(-theta * c_j))
-            log_w += n_j * log_d + (n_j - d) * theta * c_j
-    return loss, lr_v * math.exp(log_w) if lr_v > 0.0 else 0.0
+    theta, twisted = _solve_twist(model.counts, model.exposures, probs, model.nb)
+    d = rng.binomial(model.counts, twisted)
+    n, c = np.asarray(model.counts), np.asarray(model.exposures)
+    # log(p/pt) = log D and log((1-p)/(1-pt)) = theta c + log D
+    # with D = p + (1-p) exp(-theta c); exact also at p = 1
+    tc = theta[:, None] * c
+    log_d = np.log(probs + (1.0 - probs) * np.exp(-tc))
+    log_w = np.where(theta != 0.0, (n * log_d + (n - d) * tc).sum(axis=1), 0.0)
+    weight = np.where(lr_v > 0.0, lr_v * np.exp(log_w), 0.0)
+    return np.stack((d @ c, weight))
 
 
-def is_tail_one_rep(ctx: RunContext, rng: RngStream) -> float:
-    """Weighted indicator: likelihood ratio when the loss event occurs, else 0."""
-    loss, weight = _is_loss_and_weight(ctx, rng)
-    return weight if ctx.model.exceeds(loss) else 0.0
+def is_tail_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
+    """Weighted indicators: the likelihood ratio where the loss event occurs, else 0."""
+    loss, weight = _is_loss_and_weight(ctx, rng, size)
+    return np.where(ctx.model.exceeds(loss), weight, 0.0)
 
 
-def condmc_one_rep(ctx: RunContext, rng: RngStream) -> float:
-    """Conditional exceedance probability given the obligor exponentials.
+def condmc_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
+    """Conditional exceedance probabilities given the obligor exponentials.
 
-    Draws the n obligor exponentials, maps them onto the mixing-variable
-    scale, and returns the stable survival function at the order statistic
-    that tips the cumulative exposure above n*b.
+    Draws a (size, n) matrix of obligor exponentials, maps each column onto
+    the mixing-variable scale of its group, and returns the stable survival
+    function at the order statistic of each row that tips the cumulative
+    exposure above n*b.
     """
-    model = ctx.model
-    k = model.k
-    if len(model.counts) == 1:
-        r = rng.standard_exponential(model.counts[0])
-        o_k = np.partition(r, k - 1)[k - 1] / model.phis[0]
-        return float(ctx.law.sf(o_k))
-    chunks = [
-        rng.standard_exponential(n_j) / phi for n_j, phi in zip(model.counts, model.phis)
-    ]
-    o = np.concatenate(chunks)
-    if k is not None:
-        o_k = np.partition(o, k - 1)[k - 1]
-        return float(ctx.law.sf(o_k))
-    order = np.argsort(o, kind="stable")
-    cum = np.cumsum(np.repeat(np.asarray(model.exposures), model.counts)[order])
+    return ctx.law.sf(_tipping_times(ctx.model, rng, size))
+
+
+def _tipping_times(model: LossModel, rng: RngStream, size: int) -> np.ndarray:
+    """Per row, the mixing-variable-scale time of the default that tips the
+    loss above n*b; the (size, n) draw is freed before the survival call."""
+    o = rng.standard_exponential((size, model.n))
+    o /= np.repeat(model.phis, model.counts)
+    if model.k is not None:
+        o.partition(model.k - 1, axis=1)
+        return o[:, model.k - 1].copy()
+    order = np.argsort(o, axis=1, kind="stable")
+    cum = np.cumsum(np.repeat(model.exposures, model.counts)[order], axis=1)
     # first default after which the loss event holds
-    idx = int(np.searchsorted(cum, model.nb + LOSS_EPS, side="right"))
-    if idx >= o.size:
+    idx = np.count_nonzero(cum <= model.nb + LOSS_EPS, axis=1)
+    if idx.max() >= model.n:
         raise ValueError(f"loss level unattainable: n*b={model.nb} >= total exposure")
-    return float(ctx.law.sf(o[order[idx]]))
+    rows = np.arange(size)
+    return o[rows, order[rows, idx]]
 
 
 # aggregation and runners ---------------------------------------------------
@@ -349,10 +376,25 @@ def aggregate(
     )
 
 
-_ONE_REP = {
-    "naive": naive_tail_one_rep,
-    "importance": is_tail_one_rep,
-    "conditional": condmc_one_rep,
+def replicate(ctx: RunContext, block) -> np.ndarray:
+    """Outputs of ``block(ctx, rng, size)`` over all m replications of the run.
+
+    Block j covers replications jB .. min((j+1)B, m) - 1 and draws from
+    ``RngStream(seed).substream(j)``; the last axis of the result indexes the
+    replications in order.
+    """
+    m = ctx.config.m
+    root = RngStream(ctx.config.seed)
+    return np.concatenate(
+        [block(ctx, root.substream(j), min(B, m - start)) for j, start in enumerate(range(0, m, B))],
+        axis=-1,
+    )
+
+
+_BLOCKS = {
+    "naive": naive_tail_block,
+    "importance": is_tail_block,
+    "conditional": condmc_block,
 }
 
 
@@ -360,11 +402,7 @@ def run_tail_estimate(config: EstimatorConfig) -> EstimateReport:
     """Estimate the loss-event probability with the configured estimator."""
     t0 = time.perf_counter()
     ctx = RunContext(config)
-    one_rep = _ONE_REP[config.kind]
-    root = RngStream(config.seed)
-    values = np.empty(config.m)
-    for i in range(config.m):
-        values[i] = one_rep(ctx, root.substream(i))
+    values = replicate(ctx, _BLOCKS[config.kind])
     return aggregate(values, "bernoulli", seed=config.seed, runtime_s=time.perf_counter() - t0)
 
 
@@ -380,11 +418,7 @@ def is_expected_shortfall(config: EstimatorConfig) -> EstimateReport:
     t0 = time.perf_counter()
     ctx = RunContext(config)
     nb = ctx.model.nb
-    root = RngStream(config.seed)
-    losses = np.empty(config.m)
-    weights = np.empty(config.m)
-    for i in range(config.m):
-        losses[i], weights[i] = _is_loss_and_weight(ctx, root.substream(i))
+    losses, weights = replicate(ctx, _is_loss_and_weight)
     exceed = ctx.model.exceeds(losses)
     if not exceed.any():
         raise EstimationError(

@@ -161,8 +161,8 @@ class LossModel:
 
     Given the raw mixing variable V, a group-j obligor defaults independently
     with probability p_j(V) = 1 - exp(-V * phi(1 - l_j f_n)), and the loss
-    event is loss > n*b.  Built once per run; the per-replication methods
-    work on Python floats.
+    event is loss > n*b.  Built once per run; its methods take one value or
+    an array of replications.
     """
 
     def __init__(self, pf: Portfolio, alpha: float, scale: DefaultScale, b: float):
@@ -175,9 +175,10 @@ class LossModel:
         self.phis = tuple(self.gen.phi_one_minus(g.pd_scale * self.f_n) for g in pf.groups)
         self.k = threshold_index(pf, b)
 
-    def default_probs(self, v: float) -> tuple[float, ...]:
-        """p_j(v) for every group; increasing in v and in the group's pd_scale."""
-        return tuple(-math.expm1(-v * phi) for phi in self.phis)
+    def default_probs(self, v) -> np.ndarray:
+        """p_j(v) for every group, along a new last axis of v's shape;
+        increasing in v and in the group's pd_scale."""
+        return -np.expm1(-np.multiply.outer(v, self.phis))
 
     def exceeds(self, loss):
         """The loss event, for one loss or elementwise for an array of losses."""

@@ -2,8 +2,10 @@
 
 Every sampler in this package draws from an :class:`RngStream`.  A stream is
 identified by a root seed plus a key of substream indices; substreams derived
-from the same (seed, key) are statistically independent and reproducible, so
-replications can run in any order without changing results.
+from the same (seed, key) are statistically independent and reproducible.
+The Monte Carlo estimators run replications in blocks of B = 64, and block j
+draws everything from ``RngStream(seed).substream(j)``, so blocks can run in
+any order without changing results.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class RngStream:
     def standard_exponential(self, size=None):
         return self._gen.standard_exponential(size)
 
-    def binomial(self, n: int, p: float, size=None):
+    def binomial(self, n, p, size=None):
         return self._gen.binomial(n, p, size)
 
     @property

@@ -38,7 +38,7 @@ _SERIES_TERMS = 500
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-11
 _LOG_TINY = -745.0  # exp underflows below this
-_CHUNK = 4096
+_CHUNK = 64  # points per series evaluation; bounds the (points, terms) temporaries
 
 
 def _log_kernel(theta, beta: float):
@@ -112,14 +112,12 @@ class PositiveStableLaw:
 
     # sampling --------------------------------------------------------------
 
-    def sample(self, rng: RngStream, size: int | None = None):
-        """Draw from the law by the Kanter transform.
+    def sample(self, rng: RngStream, size: int) -> np.ndarray:
+        """Draw ``size`` values from the law by the Kanter transform.
 
         V = (a(Theta) / W) ** ((1 - beta) / beta) with Theta uniform on
         (0, pi) and W standard exponential; one exact draw per pair.
         """
-        if size is None:
-            return self._sample_scalar(rng)
         out = np.empty(size)
         filled = 0
         while filled < size:
@@ -138,17 +136,6 @@ class PositiveStableLaw:
             out[filled : filled + n_keep] = np.exp(log_v[keep])
             filled += n_keep
         return out
-
-    def _sample_scalar(self, rng: RngStream) -> float:
-        while True:
-            theta = rng.uniform(0.0, math.pi)
-            w = rng.standard_exponential()
-            if theta <= 0.0 or w <= 0.0:
-                continue
-            log_v = (1.0 - self.beta) / self.beta * (float(_log_kernel(theta, self.beta)) - math.log(w))
-            if not math.isfinite(log_v):
-                continue
-            return math.exp(min(log_v, 700.0))
 
     # density / survival ----------------------------------------------------
 
@@ -192,14 +179,18 @@ class PositiveStableLaw:
         else:
             exponent = k * self.beta
             logmag = log_sf
-        log_terms = logmag[None, :] - exponent[None, :] * np.log(xs)[:, None]
+        # one (points, terms) array, updated in place: log terms, terms, magnitudes
+        terms = np.log(xs)[:, None] * exponent
+        np.subtract(logmag, terms, out=terms)
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = sign[None, :] * np.exp(log_terms)
-            finite = np.all(np.isfinite(terms), axis=1)
-            terms = np.where(np.isfinite(terms), terms, 0.0)
+            np.exp(terms, out=terms)
+            terms *= sign
+            bad = ~np.isfinite(terms)
+            finite = ~bad.any(axis=1)
+            terms[bad] = 0.0
             vals = terms.sum(axis=1)
-            mags = np.abs(terms)
-            err = mags.max(axis=1) * 5e-16 + 10.0 * mags[:, -3:].max(axis=1)
+            np.abs(terms, out=terms)
+            err = terms.max(axis=1) * 5e-16 + 10.0 * terms[:, -3:].max(axis=1)
         ok = finite & np.isfinite(vals) & (err <= _ABS_TOL + _REL_TOL * np.abs(vals))
         vals = np.where(np.isfinite(vals), vals, 0.0)
         return vals, ok

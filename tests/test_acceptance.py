@@ -25,6 +25,7 @@ from archcredit import (
     homogeneous_shortfall_asymptotic,
     is_expected_shortfall,
     is_sample_v,
+    replicate,
     run_tail_estimate,
     tail_probability_asymptotic,
 )
@@ -243,9 +244,8 @@ def test_criterion_8_stable_law_suite():
     msgs.append(f"Laplace identity worst |z| {worst_z:.2f}")
 
     # proposal-density likelihood factor averages to one
-    ctx = RunContext(cfg(500, 1.5, 0.8, "importance", seed=8100))
-    root = RngStream(8100)
-    lrs = np.array([is_sample_v(ctx, root.substream(i))[1] for i in range(n)])
+    ctx = RunContext(cfg(500, 1.5, 0.8, "importance", seed=8100, m=n))
+    lrs = replicate(ctx, lambda c, rng, size: is_sample_v(c, rng, size)[1])
     z_lr = abs(lrs.mean() - 1.0) / (lrs.std(ddof=1) / math.sqrt(n))
     ok &= z_lr <= 4.0
     msgs.append(f"likelihood factor mean {lrs.mean():.4f} (|z| {z_lr:.2f})")

@@ -97,7 +97,7 @@ class TestSampling:
         law = gen.mixing_law()
         rng = RngStream(271)
         u = np.concatenate(
-            [sample_uniforms(gen, 1, law.sample(rng), rng) for _ in range(100_000)]
+            [sample_uniforms(gen, 1, v, rng) for v in law.sample(rng, 100_000)]
         )
         stat = kstest(u, "uniform").statistic
         assert stat <= 1.6276 / math.sqrt(u.size)  # 99% critical value

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 import archcredit.cli as cli
 from archcredit.cli import COLUMNS, main
+
+
+DESK = str(Path(__file__).resolve().parent / "golden" / "desk.json")  # 12 + 8 obligors
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +97,21 @@ class TestEstimateCommand:
             code, _, err = run_cli(capsys, "estimate", "--config", str(cfg))
             assert code == 2
             assert key in err
+
+    def test_size_grid_with_groups_config_rejected(self, capsys, tmp_path):
+        # the groups fix n = 20; an n grid used to repeat the n = 20 row silently
+        code, out, err = run_cli(capsys, "asymptotic", "--config", DESK, "--n", "100", "--n", "500")
+        assert (code, out) == (2, "")
+        assert "groups" in err
+        for argv in (["table", "2", "--config", DESK], ["table", "5", "--config", DESK]):
+            code, out, err = run_cli(capsys, *argv, "--m", "10")
+            assert (code, out) == (2, "")
+            assert "groups" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(Path(DESK).read_text()), "n": [100]}))
+        code, out, err = run_cli(capsys, "estimate", "--config", str(cfg), "--m", "10")
+        assert (code, out) == (2, "")
+        assert "groups" in err
 
     def test_invalid_level_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--b", "1.5", "--m", "100")

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import archcredit.estimators as est_mod
 from archcredit import (
@@ -15,11 +18,12 @@ from archcredit import (
     RunContext,
     SubPortfolio,
     aggregate,
-    condmc_one_rep,
+    condmc_block,
     is_expected_shortfall,
     is_sample_v,
-    is_tail_one_rep,
-    naive_tail_one_rep,
+    is_tail_block,
+    naive_tail_block,
+    replicate,
     run_tail_estimate,
     solve_theta_star,
 )
@@ -118,6 +122,68 @@ class TestTwist:
             solve_theta_star(pf, [1.0], 0.5)
 
 
+@st.composite
+def twist_problems(draw):
+    """1-3 groups with their own sizes and exposures, 1-4 rows of conditional
+    probabilities (one row per replication) and a target n*b below the total
+    exposure."""
+    groups = draw(st.integers(1, 3))
+    counts = tuple(draw(st.integers(1, 300)) for _ in range(groups))
+    exposures = tuple(draw(st.floats(0.25, 5.0)) for _ in range(groups))
+    rows = draw(st.integers(1, 4))
+    probs = np.array([[draw(st.floats(1e-6, 0.9)) for _ in range(groups)] for _ in range(rows)])
+    nb = draw(st.floats(0.01, 0.99)) * float(np.dot(counts, exposures))
+    return counts, exposures, probs, nb
+
+
+def twisted_mean(counts, exposures, p, theta):
+    return sum(
+        n * c * q / (q + (1.0 - q) * math.exp(-theta * c)) for n, c, q in zip(counts, exposures, p)
+    )
+
+
+def brentq_theta(counts, exposures, p, nb):
+    hi = 1.0
+    while twisted_mean(counts, exposures, p, hi) <= nb:
+        hi *= 2.0
+    return brentq(lambda t: twisted_mean(counts, exposures, p, t) - nb, 0.0, hi, xtol=1e-15)
+
+
+class TestTwistProperties:
+    """The twist solved for several replications at once, against a root-finding oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(twist_problems())
+    def test_matches_oracle_row_by_row(self, problem):
+        counts, exposures, probs, nb = problem
+        theta, twisted = est_mod._solve_twist(counts, exposures, probs, nb)
+        assert theta.shape == (len(probs),) and twisted.shape == probs.shape
+        for p, t, pt in zip(probs, theta, twisted):
+            if float(np.dot(np.multiply(counts, exposures), p)) >= nb:
+                assert t == 0.0
+                np.testing.assert_array_equal(pt, p)
+                continue
+            mean = sum(n * c * q for n, c, q in zip(counts, exposures, pt))
+            assert abs(mean - nb) <= 1e-9 * nb
+            assert t == pytest.approx(brentq_theta(counts, exposures, p, nb), rel=1e-10, abs=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(twist_problems(), st.integers(1, 3))
+    def test_step_cap_raises_or_converges(self, problem, steps):
+        # a capped solve either meets the tolerance or raises; it never
+        # returns an unconverged twist
+        counts, exposures, probs, nb = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(est_mod, "_TWIST_STEPS", steps)
+            try:
+                _, twisted = est_mod._solve_twist(counts, exposures, probs, nb)
+            except NumericalError:
+                return
+        means = twisted @ np.multiply(counts, exposures)
+        need = probs @ np.multiply(counts, exposures) < nb
+        assert np.all(np.abs(means[need] - nb) <= 1e-9 * nb)
+
+
 class TestSpliceSampler:
     def test_shape_parameter(self):
         ctx = RunContext(config(kind="importance", x0=1.0))
@@ -125,24 +191,19 @@ class TestSpliceSampler:
 
     def test_unit_factor_below_splice(self):
         ctx = RunContext(config(kind="importance", x0=1.0))
-        rng = RngStream(8)
-        seen_body = 0
-        for _ in range(300):
-            v, lr = is_sample_v(ctx, rng)
-            assert v > 0.0
-            if v < ctx.config.x0:
-                assert lr == 1.0
-                seen_body += 1
-            else:
-                assert lr >= 0.0
-        assert seen_body > 0
+        v, lr = is_sample_v(ctx, RngStream(8), 300)
+        assert v.shape == lr.shape == (300,)
+        assert np.all(v > 0.0)
+        body = v < ctx.config.x0
+        assert np.all(lr[body] == 1.0)
+        assert np.all(lr[~body] >= 0.0)
+        assert body.sum() > 0
 
     def test_mean_likelihood_factor_is_one(self):
         # change-of-measure identity for the spliced proposal
         ctx = RunContext(config(kind="importance", x0=1.0))
-        rng = RngStream(44)
         n = 100_000
-        lrs = np.array([is_sample_v(ctx, rng)[1] for _ in range(n)])
+        lrs = is_sample_v(ctx, RngStream(44), n)[1]
         z = (lrs.mean() - 1.0) / (lrs.std(ddof=1) / math.sqrt(n))
         assert abs(z) <= 4.0
 
@@ -152,7 +213,7 @@ class TestSpliceSampler:
         ctx.cdf_x0 = 1.0
         monkeypatch.setattr(est_mod, "_REJECTION_CAP", 50)
         with pytest.raises(NumericalError, match="splice"):
-            is_sample_v(ctx, RngStream(3))
+            is_sample_v(ctx, RngStream(3), 4)
 
     def test_scale_too_large_for_splice(self):
         # phi(1 - f_n) >= 1 leaves the Pareto shape undefined
@@ -171,6 +232,14 @@ class TestSpliceSampler:
             )
 
 
+class TestNaiveRep:
+    def test_block_of_indicators(self):
+        ctx = RunContext(config(base=DESK, kind="naive", m=100, seed=3))
+        vals = naive_tail_block(ctx, RngStream(4), 64)
+        assert vals.shape == (64,)
+        assert set(vals) == {0.0, 1.0}
+
+
 class TestImportanceRep:
     def test_plain_indicator_when_untwisted_below_splice(self, monkeypatch):
         # with the mixture pinned below x0 and a mean loss above target the
@@ -181,17 +250,17 @@ class TestImportanceRep:
         model = ctx.model
         probs = model.default_probs(v_fix)
         assert sum(n * c * p for n, c, p in zip(model.counts, model.exposures, probs)) > model.nb
-        monkeypatch.setattr(est_mod, "is_sample_v", lambda c, r: (v_fix, 1.0))
-        rng = RngStream(6)
-        vals = {is_tail_one_rep(ctx, rng) for _ in range(50)}
+        monkeypatch.setattr(
+            est_mod, "is_sample_v", lambda c, r, size: (np.full(size, v_fix), np.ones(size))
+        )
+        vals = set(is_tail_block(ctx, RngStream(6), 50))
         assert vals <= {0.0, 1.0}
 
     def test_values_nonnegative(self):
         cfg = config(kind="importance", m=500, seed=5)
-        ctx = RunContext(cfg)
-        root = RngStream(cfg.seed)
-        vals = [is_tail_one_rep(ctx, root.substream(i)) for i in range(500)]
-        assert all(v >= 0.0 for v in vals)
+        vals = replicate(RunContext(cfg), is_tail_block)
+        assert vals.shape == (500,)
+        assert np.all(vals >= 0.0)
 
     def test_matches_naive_in_non_rare_regime(self):
         m = 40_000
@@ -214,17 +283,45 @@ class TestConditionalRep:
             kind="conditional",
         )
         ctx = RunContext(cfg)
-        stream = RngStream(99)
-        got = condmc_one_rep(ctx, stream)
-        r = RngStream(99).standard_exponential(1)[0]
+        got = condmc_block(ctx, RngStream(99), 5)
+        r = RngStream(99).standard_exponential(5)
         want = ctx.law.sf(r / GumbelGenerator(1.5).phi_one_minus(0.5 * 0.3))
-        assert got == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "pf",
+        [
+            Portfolio.homogeneous(30, exposure=1.0, pd_scale=0.5),
+            Portfolio([SubPortfolio(1.0, 0.5, 12), SubPortfolio(3.0, 0.7, 8)]),
+        ],
+        ids=["equal-exposures", "mixed-exposures"],
+    )
+    def test_block_matches_row_by_row_threshold_search(self, pf):
+        # the partition / argsort-cumsum pass over a block against a loop that
+        # adds up defaults in time order, row by row, on the same draws
+        cfg = EstimatorConfig(
+            portfolio=pf, alpha=1.5, scale=DefaultScale.constant(0.3), b=0.6, m=10, seed=0,
+            kind="conditional",
+        )
+        ctx = RunContext(cfg)
+        model = ctx.model
+        got = condmc_block(ctx, RngStream(5), 64)
+        times = RngStream(5).standard_exponential((64, model.n))
+        times /= np.repeat(model.phis, model.counts)
+        exposure = np.repeat(model.exposures, model.counts)
+        want = []
+        for row in times:
+            loss = 0.0
+            for i in np.argsort(row, kind="stable"):
+                loss += exposure[i]
+                if model.exceeds(loss):
+                    want.append(ctx.law.sf(row[i]))
+                    break
+        np.testing.assert_array_equal(got, want)
 
     def test_values_in_unit_interval_and_rao_blackwell(self):
         cfg = config(base=DESK, kind="conditional", m=4000, seed=31)
-        ctx = RunContext(cfg)
-        root = RngStream(cfg.seed)
-        vals = np.array([condmc_one_rep(ctx, root.substream(i)) for i in range(cfg.m)])
+        vals = replicate(RunContext(cfg), condmc_block)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         p_hat = vals.mean()
         assert vals.var(ddof=1) <= p_hat * (1.0 - p_hat)
@@ -326,10 +423,6 @@ class TestExpectedShortfall:
         # the non-rare desk instance where the weight tail is light enough
         # for the sample mean to see the full mass
         cfg = config(base=DESK, kind="importance", m=60_000, seed=29)
-        ctx = RunContext(cfg)
-        root = RngStream(cfg.seed)
-        w = np.array(
-            [est_mod._is_loss_and_weight(ctx, root.substream(i))[1] for i in range(cfg.m)]
-        )
+        w = replicate(RunContext(cfg), est_mod._is_loss_and_weight)[1]
         z = (w.mean() - 1.0) / (w.std(ddof=1) / math.sqrt(cfg.m))
         assert abs(z) <= 4.0

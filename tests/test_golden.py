@@ -4,8 +4,8 @@ Each case is one CLI invocation at a small replication count and a fixed
 seed; its stdout is stored under ``tests/golden/<name>``.  Any change to the
 numbers, the row order, the seeds or the formatting shows up here.  After a
 deliberate change of output (for example a new stream layout), regenerate
-the files with ``PYTHONPATH=src python tests/test_golden.py`` and say so in
-CHANGES.md.
+the files with ``PYTHONPATH=src python tests/test_golden.py``, which prints
+``unchanged`` or ``rewritten`` for each file, and say so in CHANGES.md.
 """
 
 import sys
@@ -60,5 +60,9 @@ if __name__ == "__main__":  # regenerate the golden files
             code = main(list(argv))
         if code != 0:
             sys.exit(f"{name}: exit {code}")
-        (GOLDEN / name).write_bytes(buf.getvalue().encode())
-        print(f"wrote {name}")
+        path, data = GOLDEN / name, buf.getvalue().encode()
+        if path.exists() and path.read_bytes() == data:
+            print(f"unchanged {name}")
+        else:
+            path.write_bytes(data)
+            print(f"rewritten {name}")

@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import erf
 
+import archcredit.stable as stable_mod
 from archcredit import NumericalError, PositiveStableLaw, RngStream
 
 
@@ -131,7 +132,7 @@ class TestSampler:
 
     def test_scalar_sampling_matches_distribution(self, half):
         rng = RngStream(3)
-        vals = np.array([half.sample(rng) for _ in range(20_000)])
+        vals = np.array([half.sample(rng, 1)[0] for _ in range(20_000)])
         p = float((vals <= 1.0).mean())
         ref = 1.0 - erf(0.5)
         assert abs(p - ref) <= 4.0 * math.sqrt(ref * (1 - ref) / vals.size)
@@ -151,3 +152,20 @@ class TestQuantilesAgainstSamples:
             xq = brentq(lambda x: law.sf(x) - (1.0 - q), 1e-9, hi, xtol=1e-12)
             emp = np.searchsorted(v, xq, side="right") / n
             assert abs(emp - q) <= eps, f"beta={beta}, q={q}"
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("beta", [0.5, 2 / 3, 10 / 11])
+    def test_one_call_matches_point_by_point_bits(self, beta):
+        # 200 points span several chunks and both the series and the
+        # quadrature regime; batching must not change a bit
+        law = PositiveStableLaw(beta)
+        xs = np.logspace(-2, 8, 200)
+        assert stable_mod._CHUNK < xs.size
+        for kind in ("sf", "pdf"):
+            series_ok = law._series_eval(xs, kind)[1]
+            assert series_ok.any() and not series_ok.all()
+            evaluate = getattr(law, kind)
+            batch = evaluate(xs)
+            single = np.array([evaluate(float(x)) for x in xs])
+            assert batch.tobytes() == single.tobytes(), kind
