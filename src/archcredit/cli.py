@@ -1,5 +1,5 @@
-"""Command-line front end: configure experiments, dispatch estimators, and
-emit CSV or markdown report tables.
+"""Command-line front end: configure experiments, plan report rows, and emit
+CSV or markdown report tables.
 
 Data rows go to stdout (or ``--output``); progress and diagnostics go to
 stderr.  Exit codes: 0 success, 2 configuration error, 3 numerical or
@@ -14,9 +14,13 @@ Numeric fields are emitted with 17 significant digits so parsing the CSV
 recovers them exactly.  ``runtime_ms`` is left empty unless ``--timings`` is
 given, keeping re-runs with the same seed byte-identical.
 
-The Monte Carlo commands (``estimate``, ``es`` and the ``table`` presets) all
-plan one task per (alpha, n, b, method) with seed ``seed + i`` for row i, then
-run the tasks in order; a row whose run fails leaves its value fields empty.
+Every command (``estimate``, ``es``, ``asymptotic`` and the ``table``
+presets) plans one row per (alpha, n, b, method) of its grid, a Monte Carlo
+row i with seed ``seed + i``, and then computes the rows in order.  A bad
+configuration fails at planning time (exit 2) before any row runs; a row whose
+computation fails leaves the value fields it could not compute empty, and the
+other rows are still emitted (exit 3).  Each setting is declared once, in
+``_OPTIONS``: its config key, its flag and the ``Settings`` attributes it sets.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .asymptotics import (
     AsymptoticInputs,
@@ -55,7 +60,7 @@ COLUMNS = (
 )
 
 _ESTIMATORS = ("naive", "importance", "conditional")
-_SCALE_NAMES = {"reciprocal": "reciprocal", "log-reciprocal": "log_reciprocal", "constant": "constant"}
+_SCALE_KINDS = ("constant", "log-reciprocal", "reciprocal")
 
 
 class ConfigError(ValueError):
@@ -122,7 +127,7 @@ def _scale(settings: Settings) -> DefaultScale:
         if settings.scale_value is None:
             raise ConfigError("constant scale requires --f (or scale.value in the config)")
         return DefaultScale.constant(settings.scale_value)
-    return DefaultScale(settings.scale_kind)
+    return DefaultScale(settings.scale_kind.replace("-", "_"))
 
 
 def _listed(convert):
@@ -142,31 +147,53 @@ def _methods(raw) -> list[str]:
 def _scale_entry(sc) -> tuple[str, float | None]:
     if not isinstance(sc, dict) or "kind" not in sc or set(sc) - {"kind", "value"}:
         raise ConfigError('config "scale" must be {"kind": ..., "value"?: ...}')
-    kind = str(sc["kind"]).replace("-", "_")
-    if kind not in _SCALE_NAMES.values():
+    kind = str(sc["kind"]).replace("_", "-")
+    if kind not in _SCALE_KINDS:
         raise ConfigError(f"unknown scale kind {sc['kind']!r}")
     return kind, float(sc["value"]) if "value" in sc else None
 
 
-# config key: (Settings attributes it sets, converter of its value)
-_CONFIG_FIELDS = {
-    "alpha": ("alpha", float),
-    "groups": ("groups", list),
-    "scale": (("scale_kind", "scale_value"), _scale_entry),
-    "b": ("b", _listed(float)),
-    "n": ("n", _listed(int)),
-    "l": ("l", float),
-    "c": ("c", float),
-    "methods": ("methods", _methods),
-    "m": ("m", int),
-    "seed": ("seed", int),
-    "x0": ("x0", float),
-    "format": ("fmt", str),
-    "output": ("output", str),
-    "asymptotic": ("asymptotic", bool),
-    "timings": ("timings", bool),
-}
-_CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
+def _opt(key, attrs, convert, *flags, commands=None, **options) -> SimpleNamespace:
+    """One setting: its config key, the ``Settings`` attribute(s) it sets, the
+    converter of a config value, its flags, the commands that take the flags
+    (None: all four) and their argparse options.  A flag stores into the first
+    of ``attrs`` and reads None when it is not given."""
+    if attrs and flags:
+        options["dest"] = attrs if isinstance(attrs, str) else attrs[0]
+    return SimpleNamespace(key=key, attrs=attrs, convert=convert, flags=flags,
+                           commands=commands, kwargs={"default": None, **options})
+
+
+# every setting, in the order of the flags in --help
+_OPTIONS = (
+    _opt(None, None, None, "--config", help="JSON config file; flags override its entries"),
+    _opt("alpha", "alpha", float, "--alpha", type=float, help="copula tail-dependence index (> 1)"),
+    _opt("n", "n", _listed(int), "--n", type=int, action="append",
+         help="portfolio size (repeatable)"),
+    _opt("l", "l", float, "--l", type=float, help="default-probability multiplier per obligor"),
+    _opt("c", "c", float, "--c", type=float, help="exposure at default per obligor"),
+    _opt("scale", ("scale_kind", "scale_value"), _scale_entry, "--scale", choices=_SCALE_KINDS,
+         help="default-probability scale rule f_n"),
+    _opt(None, "scale_value", None, "--f", type=float, metavar="F",
+         help="value for the constant scale"),
+    _opt("b", "b", _listed(float), "--b", type=float, action="append",
+         help="loss level (repeatable)"),
+    _opt("methods", "methods", _methods, "--method", commands=("estimate",), action="append",
+         choices=_ESTIMATORS,
+         help="estimator to run (repeatable; default: importance and conditional)"),
+    _opt("m", "m", int, "--m", type=int, help="number of replications"),
+    _opt("seed", "seed", int, "--seed", type=int, help="base seed; row i uses seed + i"),
+    _opt("x0", "x0", float, "--x0", type=float, help="importance-sampling tail splice point"),
+    _opt("format", "fmt", str, "--format", choices=["csv", "markdown"], help="output format"),
+    _opt("output", "output", str, "--output", "-o", help="output path (default: stdout)"),
+    _opt("timings", "timings", bool, "--timings", action="store_true",
+         help="fill the runtime_ms column"),
+    _opt(None, None, None, "--es", commands=("asymptotic",), action="store_true",
+         help="also emit shortfall asymptotics"),
+    _opt("asymptotic", "asymptotic", bool, "--asymptotic", commands=("estimate",),
+         action="store_true", help="include the deterministic asymptotic column"),
+    _opt("groups", "groups", list),
+)
 
 
 def _load_config_file(path: str, settings: Settings) -> Settings:
@@ -179,12 +206,12 @@ def _load_config_file(path: str, settings: Settings) -> Settings:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    options = {opt.key: opt for opt in _OPTIONS if opt.key}
+    unknown = set(raw) - set(options)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
-        attrs, convert = _CONFIG_FIELDS[key]
-        value = convert(value)
+        attrs, value = options[key].attrs, options[key].convert(value)
         if isinstance(attrs, tuple):
             for attr, part in zip(attrs, value):
                 setattr(settings, attr, part)
@@ -196,35 +223,33 @@ def _load_config_file(path: str, settings: Settings) -> Settings:
 def _apply_flags(args, settings: Settings) -> Settings:
     if args.config:
         settings = _load_config_file(args.config, settings)
-    for name, attr in (
-        ("alpha", "alpha"),
-        ("l", "l"),
-        ("c", "c"),
-        ("f", "scale_value"),
-        ("m", "m"),
-        ("seed", "seed"),
-        ("x0", "x0"),
-        ("output", "output"),
-        ("n", "n"),
-        ("b", "b"),
-        ("method", "methods"),
-        ("format", "fmt"),
-    ):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(settings, attr, val)
-    if getattr(args, "scale", None) is not None:
-        settings.scale_kind = _SCALE_NAMES[args.scale]
-    if getattr(args, "asymptotic", False):
-        settings.asymptotic = True
-    if getattr(args, "timings", False):
-        settings.timings = True
+    for opt in _OPTIONS:
+        dest = opt.kwargs.get("dest")
+        value = getattr(args, dest, None) if dest else None
+        if value is not None:
+            setattr(settings, dest, value)
     if settings.fmt not in ("csv", "markdown"):
         raise ConfigError(f"unknown output format {settings.fmt!r}")
     return settings
 
 
-def _row(method, alpha, n, b, seed, report=None, asym=None, timings=False):
+def _log(msg: str) -> None:
+    print(msg, file=sys.stderr, flush=True)
+
+
+@dataclass
+class _Task:
+    """One planned report row: its method, the inputs of its (alpha, n, b)
+    point, the run config of a Monte Carlo row, and whether the row carries
+    the asymptotic column."""
+
+    method: str
+    point: AsymptoticInputs
+    config: EstimatorConfig | None
+    asymptotic: bool
+
+
+def _row(task: _Task, report=None, asym=None, timings=False) -> dict:
     est = se = rel = vr = disc = runtime = None
     if report is not None:
         est = report.estimate
@@ -236,10 +261,10 @@ def _row(method, alpha, n, b, seed, report=None, asym=None, timings=False):
         if asym is not None and asym > 0.0:
             disc = 100.0 * (report.estimate - asym) / asym
     return {
-        "method": method,
-        "alpha": _fmt(alpha),
-        "n": _fmt(n),
-        "b": _fmt(b),
+        "method": task.method,
+        "alpha": _fmt(task.point.alpha),
+        "n": _fmt(task.point.portfolio.n),
+        "b": _fmt(task.point.b),
         "estimate": _fmt(est),
         "std_error": _fmt(se),
         "rel_error_pct": _fmt(rel),
@@ -247,47 +272,28 @@ def _row(method, alpha, n, b, seed, report=None, asym=None, timings=False):
         "asymptotic": _fmt(asym),
         "discrepancy_pct": _fmt(disc),
         "runtime_ms": _fmt(runtime),
-        "seed": _fmt(seed),
+        "seed": _fmt(task.config.seed if task.config else None),
     }
 
 
-def _log(msg: str) -> None:
-    print(msg, file=sys.stderr, flush=True)
-
-
-@dataclass
-class _Task:
-    """One planned report row: its method, validated config and asymptotic column."""
-
-    method: str
-    config: EstimatorConfig
-    asym: float | None
-
-
-def _make_task(method, pf, settings, alpha, b, seed, asym) -> _Task:
-    kind = "importance" if method == "es_importance" else method
+def _checked(what: str, build, **kwargs):
+    """``build(**kwargs)``, with a ValueError raised as a ConfigError about ``what``."""
     try:
-        cfg = EstimatorConfig(
-            portfolio=pf,
-            alpha=alpha,
-            scale=_scale(settings),
-            b=b,
-            m=settings.m,
-            seed=seed,
-            x0=settings.x0,
-            kind=kind,
-        )
+        return build(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{method} (alpha={alpha}, n={pf.n}, b={b}): {exc}") from exc
-    return _Task(method, cfg, asym)
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 _PAIR = ["importance", "conditional"]
 _ES = ["es_importance"]
+_ASYMPTOTIC = ["asymptotic_tail"]
+_SHORTFALL = ("es_importance", "asymptotic_es")  # rows whose asymptotic column is the shortfall
 # per command: the alpha grid (None keeps the configured alpha) and the settings it fixes
 _PRESETS = {
     "estimate": (None, {}),
     "es": (None, dict(methods=_ES, asymptotic=True)),
+    "asymptotic": (None, dict(methods=_ASYMPTOTIC, asymptotic=True)),
+    "asymptotic --es": (None, dict(methods=_ASYMPTOTIC + ["asymptotic_es"], asymptotic=True)),
     "2": ([1.1, 1.5, 2.0, 5.0], dict(n=[500], b=[0.8], methods=_PAIR, asymptotic=False)),
     "3": ([1.5], dict(n=[500], b=[0.3, 0.5, 0.7, 0.9], methods=_PAIR, asymptotic=False)),
     "4": ([1.5], dict(n=[100, 250, 500, 1000], b=[0.8], methods=_PAIR, asymptotic=True)),
@@ -298,74 +304,62 @@ _PRESETS = {
 def _plan(settings: Settings, command: str) -> list[_Task]:
     """One task per (alpha, n, b, method) of the command's grid, in row order.
 
-    The asymptotic column holds the shortfall approximation for shortfall
-    rows and the tail approximation otherwise.
+    The rows of one (alpha, n, b) point share its validated AsymptoticInputs;
+    a Monte Carlo row also gets a validated run config with seed
+    ``seed + row index``.  Nothing is computed here.
     """
     alphas, fixed = _PRESETS[command]
     settings = dataclasses.replace(settings, **fixed)
     methods = settings.methods or _PAIR
+    scale = _scale(settings)
     tasks: list[_Task] = []
     for alpha in alphas or [settings.alpha]:
         for n in _sizes(settings):
             pf = _portfolio(settings, n)
             for b in settings.b or [0.8]:
-                asym = None
-                if settings.asymptotic:
-                    inputs = AsymptoticInputs(pf, alpha, _scale(settings), b)
-                    if methods == _ES:
-                        asym = expected_shortfall_asymptotic(inputs)
-                    else:
-                        asym = tail_probability_asymptotic(inputs)
+                where = f"alpha={alpha}, n={pf.n}, b={b}"
+                point = _checked(where, AsymptoticInputs, portfolio=pf, alpha=alpha, scale=scale,
+                                 b=b)
                 for method in methods:
-                    seed = settings.seed + len(tasks)
-                    tasks.append(_make_task(method, pf, settings, alpha, b, seed, asym))
+                    config = None
+                    if not method.startswith("asymptotic_"):
+                        config = _checked(
+                            f"{method} ({where})", EstimatorConfig, portfolio=pf, alpha=alpha,
+                            scale=scale, b=b, m=settings.m, seed=settings.seed + len(tasks),
+                            x0=settings.x0, kind="importance" if method in _ES else method,
+                        )
+                    tasks.append(_Task(method, point, config, settings.asymptotic))
     return tasks
 
 
 def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[dict], bool]:
+    """Compute the rows in order; a row that fails leaves its values empty."""
     rows: list[dict] = []
     failed = False
     for task in tasks:
-        cfg = task.config
-        where = f"alpha={cfg.alpha} n={cfg.portfolio.n} b={cfg.b}"
-        _log(f"running {task.method}: {where} m={cfg.m}")
-        # looked up at call time, so a wrapper installed on this module (as the
-        # benchmark's tracer does) is the one called
-        runner = is_expected_shortfall if task.method == "es_importance" else run_tail_estimate
-        report = None
+        cfg, point = task.config, task.point
+        where = f"alpha={point.alpha} n={point.portfolio.n} b={point.b}"
+        if cfg is not None:
+            _log(f"running {task.method}: {where} m={cfg.m}")
+        shortfall = task.method in _SHORTFALL
+        report = asym = None
         try:
-            report = runner(cfg)
+            # looked up at call time, so a wrapper installed on this module (as
+            # the benchmark's tracer does) is the one called
+            if task.asymptotic:
+                asymptotic = expected_shortfall_asymptotic if shortfall else tail_probability_asymptotic
+                asym = asymptotic(point)
+            if cfg is not None:
+                report = (is_expected_shortfall if shortfall else run_tail_estimate)(cfg)
         except (NumericalError, EstimationError, ValueError) as exc:
             _log(f"row failed ({task.method}: {where}): {exc}")
             failed = True
-        rows.append(
-            _row(task.method, cfg.alpha, cfg.portfolio.n, cfg.b, cfg.seed, report, task.asym,
-                 settings.timings)
-        )
+        rows.append(_row(task, report, asym, settings.timings))
     return rows, failed
 
 
-def _run_asymptotic_rows(settings: Settings, want_es: bool) -> tuple[list[dict], bool]:
-    bs = settings.b or [0.8]
-    rows: list[dict] = []
-    scale = _scale(settings)
-    for n in _sizes(settings):
-        pf = _portfolio(settings, n)
-        for b in bs:
-            inputs = AsymptoticInputs(pf, settings.alpha, scale, b)
-            tail = tail_probability_asymptotic(inputs)
-            rows.append(_row("asymptotic_tail", settings.alpha, pf.n, b, None, asym=tail))
-            if want_es:
-                es = expected_shortfall_asymptotic(inputs)
-                rows.append(_row("asymptotic_es", settings.alpha, pf.n, b, None, asym=es))
-    return rows, False
-
-
 def _emit(rows: list[dict], settings: Settings) -> None:
-    if settings.fmt == "csv":
-        text = _render_csv(rows)
-    else:
-        text = _render_markdown(rows)
+    text = (_render_csv if settings.fmt == "csv" else _render_markdown)(rows)
     if settings.output:
         with open(settings.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -404,70 +398,34 @@ def build_parser() -> argparse.ArgumentParser:
         "Gumbel-copula credit portfolios",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_methods=False, with_es_flag=False):
-        p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--alpha", type=float, help="copula tail-dependence index (> 1)")
-        p.add_argument("--n", type=int, action="append", help="portfolio size (repeatable)")
-        p.add_argument("--l", type=float, help="default-probability multiplier per obligor")
-        p.add_argument("--c", type=float, help="exposure at default per obligor")
-        p.add_argument(
-            "--scale",
-            choices=sorted(_SCALE_NAMES),
-            help="default-probability scale rule f_n",
+    commands = {
+        name: sub.add_parser(name, help=text)
+        for name, text in (
+            ("estimate", "tail-probability estimators"),
+            ("es", "expected shortfall via importance sampling"),
+            ("asymptotic", "deterministic approximations only"),
+            ("table", "preset experiment grids"),
         )
-        p.add_argument("--f", type=float, help="value for the constant scale")
-        p.add_argument("--b", type=float, action="append", help="loss level (repeatable)")
-        if with_methods:
-            p.add_argument(
-                "--method",
-                action="append",
-                choices=_ESTIMATORS,
-                help="estimator to run (repeatable; default: importance and conditional)",
-            )
-        p.add_argument("--m", type=int, help="number of replications")
-        p.add_argument("--seed", type=int, help="base seed; row i uses seed + i")
-        p.add_argument("--x0", type=float, help="importance-sampling tail splice point")
-        p.add_argument("--format", choices=["csv", "markdown"], help="output format")
-        p.add_argument("--output", "-o", help="output path (default: stdout)")
-        p.add_argument("--timings", action="store_true", help="fill the runtime_ms column")
-        if with_es_flag:
-            p.add_argument("--es", action="store_true", help="also emit shortfall asymptotics")
-
-    p_est = sub.add_parser("estimate", help="tail-probability estimators")
-    add_common(p_est, with_methods=True)
-    p_est.add_argument(
-        "--asymptotic", action="store_true", help="include the deterministic asymptotic column"
-    )
-
-    p_es = sub.add_parser("es", help="expected shortfall via importance sampling")
-    add_common(p_es)
-
-    p_asym = sub.add_parser("asymptotic", help="deterministic approximations only")
-    add_common(p_asym, with_es_flag=True)
-
-    p_table = sub.add_parser("table", help="preset experiment grids")
-    p_table.add_argument("table", choices=["2", "3", "4", "5"])
-    add_common(p_table)
+    }
+    commands["table"].add_argument("table", choices=["2", "3", "4", "5"])
+    for opt in _OPTIONS:
+        for name in (opt.commands or commands) if opt.flags else ():
+            commands[name].add_argument(*opt.flags, **opt.kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = args.table if args.command == "table" else args.command
+    if getattr(args, "es", None):
+        command += " --es"
     try:
         settings = _apply_flags(args, Settings())
-        if args.command == "asymptotic":
-            rows, failed = _run_asymptotic_rows(settings, args.es)
-        else:
-            command = args.table if args.command == "table" else args.command
-            rows, failed = _execute(_plan(settings, command), settings)
-    except (ConfigError, ValueError) as exc:
+        tasks = _plan(settings, command)
+    except ValueError as exc:  # a ConfigError or a check of the model inputs
         _log(f"configuration error: {exc}")
         return 2
-    except (NumericalError, EstimationError) as exc:
-        _log(f"numerical failure: {exc}")
-        return 3
+    rows, failed = _execute(tasks, settings)
     _emit(rows, settings)
     return 3 if failed else 0
 
