@@ -4,19 +4,24 @@ shortfall, plus closed forms for equal-parameter portfolios used as oracles.
 The tail probability of the per-obligor loss exceeding level b decays like
 ``f_n * vstar**(-1/alpha) / Gamma(1 - 1/alpha)`` where vstar inverts the
 limiting loss curve at b; the conditional mean loss beyond the threshold
-grows linearly in portfolio size with slope ``psi(alpha, b)``.
+grows linearly in portfolio size with slope ``psi(alpha, b)``.  For finitely
+many groups psi has the closed form
+
+    psi = b + vstar**(1/alpha) * sum_j c_j w_j l_j GammaUpper(1 - 1/alpha, vstar l_j**alpha)
+
+with GammaUpper the (non-regularized) upper incomplete gamma function, so
+neither approximation needs quadrature; vstar is solved once per set of
+inputs and shared by both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
-from .errors import NumericalError
 from .portfolio import DefaultScale, Portfolio, check_model, solve_vstar
 
 
@@ -34,41 +39,32 @@ class AsymptoticInputs:
     def f_n(self) -> float:
         return self.scale.resolve(self.portfolio.n)
 
+    @cached_property
+    def vstar(self) -> float:
+        """The v with r(v) = b, solved on first use."""
+        return solve_vstar(self.portfolio, self.alpha, self.b)
+
 
 def tail_probability_asymptotic(inputs: AsymptoticInputs) -> float:
     """Leading-order approximation of P(per-obligor loss > b)."""
-    vstar = solve_vstar(inputs.portfolio, inputs.alpha, inputs.b)
     a = inputs.alpha
-    return inputs.f_n * vstar ** (-1.0 / a) / gamma(1.0 - 1.0 / a)
+    return inputs.f_n * inputs.vstar ** (-1.0 / a) / gamma(1.0 - 1.0 / a)
 
 
 def expected_shortfall_asymptotic(inputs: AsymptoticInputs) -> float:
     """Leading-order conditional mean loss given the exceedance, scaled by n.
 
-    Returns n * psi with psi = b + integral of r'(v) v**(-1/alpha) over
-    (vstar, inf), normalized by vstar**(-1/alpha).  The integral is computed
-    after substituting u = v * min_j(l_j**alpha), which standardizes the
-    exponential decay, with adaptive quadrature at 1e-10 relative tolerance.
+    Returns n * psi with psi = b + vstar**(1/alpha) times the integral of
+    r'(v) v**(-1/alpha) over (vstar, inf).  Substituting t = v l_j**alpha in
+    group j's term of r'(v) = sum_j c_j w_j l_j**alpha exp(-v l_j**alpha)
+    turns the integral into sum_j c_j w_j l_j GammaUpper(1 - 1/alpha, vstar l_j**alpha).
     """
     pf = inputs.portfolio
-    a = inputs.alpha
-    vstar = solve_vstar(pf, a, inputs.b)
-    c = pf.exposures
-    w = pf.weights
-    l_a = pf.pd_scales**a
-    lmin = float(l_a.min())
-    u_lo = vstar * lmin
-
-    def integrand(u: float) -> float:
-        v = u / lmin
-        rprime = float(np.dot(c * w * l_a, np.exp(-v * l_a)))
-        return rprime * v ** (-1.0 / a) / lmin
-
-    val, abserr = quad(integrand, u_lo, np.inf, epsabs=0.0, epsrel=1e-10, limit=300)
-    if abserr > 1e-8 * max(abs(val), 1e-300):
-        raise NumericalError("shortfall asymptotic quadrature did not converge", achieved=abserr)
-    psi = inputs.b + val / vstar ** (-1.0 / a)
-    return pf.n * psi
+    vstar = inputs.vstar
+    s = 1.0 - 1.0 / inputs.alpha
+    upper = gammaincc(s, vstar * pf.pd_scales**inputs.alpha) * gamma(s)
+    integral = float((pf.exposures * pf.weights * pf.pd_scales * upper).sum())
+    return pf.n * (inputs.b + vstar ** (1.0 / inputs.alpha) * integral)
 
 
 def homogeneous_tail_asymptotic(alpha: float, f_n: float, b: float, l: float, c: float) -> float:

@@ -276,24 +276,23 @@ def _row(task: _Task, report=None, asym=None, timings=False) -> dict:
     }
 
 
-def _checked(what: str, build, **kwargs):
-    """``build(**kwargs)``, with a ValueError raised as a ConfigError about ``what``."""
+def _checked(what: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError raised as a ConfigError about ``what``."""
     try:
-        return build(**kwargs)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
 _PAIR = ["importance", "conditional"]
 _ES = ["es_importance"]
-_ASYMPTOTIC = ["asymptotic_tail"]
 _SHORTFALL = ("es_importance", "asymptotic_es")  # rows whose asymptotic column is the shortfall
 # per command: the alpha grid (None keeps the configured alpha) and the settings it fixes
 _PRESETS = {
     "estimate": (None, {}),
     "es": (None, dict(methods=_ES, asymptotic=True)),
-    "asymptotic": (None, dict(methods=_ASYMPTOTIC, asymptotic=True)),
-    "asymptotic --es": (None, dict(methods=_ASYMPTOTIC + ["asymptotic_es"], asymptotic=True)),
+    "asymptotic": (None, dict(methods=["asymptotic_tail"], asymptotic=True)),
+    "asymptotic --es": (None, dict(methods=["asymptotic_tail", "asymptotic_es"], asymptotic=True)),
     "2": ([1.1, 1.5, 2.0, 5.0], dict(n=[500], b=[0.8], methods=_PAIR, asymptotic=False)),
     "3": ([1.5], dict(n=[500], b=[0.3, 0.5, 0.7, 0.9], methods=_PAIR, asymptotic=False)),
     "4": ([1.5], dict(n=[100, 250, 500, 1000], b=[0.8], methods=_PAIR, asymptotic=True)),
@@ -318,8 +317,7 @@ def _plan(settings: Settings, command: str) -> list[_Task]:
             pf = _portfolio(settings, n)
             for b in settings.b or [0.8]:
                 where = f"alpha={alpha}, n={pf.n}, b={b}"
-                point = _checked(where, AsymptoticInputs, portfolio=pf, alpha=alpha, scale=scale,
-                                 b=b)
+                point = _checked(where, AsymptoticInputs, pf, alpha, scale, b)
                 for method in methods:
                     config = None
                     if not method.startswith("asymptotic_"):
@@ -341,16 +339,15 @@ def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[dict], bool]:
         where = f"alpha={point.alpha} n={point.portfolio.n} b={point.b}"
         if cfg is not None:
             _log(f"running {task.method}: {where} m={cfg.m}")
-        shortfall = task.method in _SHORTFALL
+        es = task.method in _SHORTFALL
         report = asym = None
         try:
             # looked up at call time, so a wrapper installed on this module (as
             # the benchmark's tracer does) is the one called
             if task.asymptotic:
-                asymptotic = expected_shortfall_asymptotic if shortfall else tail_probability_asymptotic
-                asym = asymptotic(point)
+                asym = (expected_shortfall_asymptotic if es else tail_probability_asymptotic)(point)
             if cfg is not None:
-                report = (is_expected_shortfall if shortfall else run_tail_estimate)(cfg)
+                report = (is_expected_shortfall if es else run_tail_estimate)(cfg)
         except (NumericalError, EstimationError, ValueError) as exc:
             _log(f"row failed ({task.method}: {where}): {exc}")
             failed = True
@@ -359,7 +356,10 @@ def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[dict], bool]:
 
 
 def _emit(rows: list[dict], settings: Settings) -> None:
-    text = (_render_csv if settings.fmt == "csv" else _render_markdown)(rows)
+    if settings.fmt == "csv":
+        text = _render_csv(rows)
+    else:
+        text = _render_markdown(rows)
     if settings.output:
         with open(settings.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -369,10 +369,9 @@ def _emit(rows: list[dict], settings: Settings) -> None:
 
 def _render_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for row in rows:
-        writer.writerow([row[c] for c in COLUMNS])
+    writer = csv.DictWriter(buf, COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archimedean import GumbelGenerator
 from .errors import EstimationError, NumericalError
-from .portfolio import LOSS_EPS, DefaultScale, LossModel, Portfolio, check_model
+from .portfolio import LOSS_EPS, DefaultScale, LossModel, Portfolio
 from .rng import RngStream
 from .stable import PositiveStableLaw
 
@@ -63,9 +62,9 @@ class EstimatorConfig:
             raise ValueError(f"splice point x0 must be positive, got {self.x0}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        f_n = check_model(self.portfolio, self.alpha, self.scale, self.b)
+        model = LossModel(self.portfolio, self.alpha, self.scale, self.b)
         if self.kind == "importance":
-            phi_f = GumbelGenerator(self.alpha).phi_one_minus(f_n)
+            phi_f = model.gen.phi_one_minus(model.f_n)
             if not phi_f < 1.0:
                 raise ValueError(
                     f"splice tail shape undefined: phi(1 - f_n)={phi_f} >= 1; "
@@ -326,13 +325,7 @@ def _tipping_times(model: LossModel, rng: RngStream, size: int) -> np.ndarray:
 # aggregation and runners ---------------------------------------------------
 
 
-def aggregate(
-    values: np.ndarray,
-    baseline_variance_mode: str = "bernoulli",
-    *,
-    seed: int = 0,
-    runtime_s: float = 0.0,
-) -> EstimateReport:
+def aggregate(values: np.ndarray, *, seed: int = 0, runtime_s: float = 0.0) -> EstimateReport:
     """Fold per-replication values into a report.
 
     The relative error is that of the final estimate (per-replication std
@@ -353,17 +346,11 @@ def aggregate(
     else:
         rel = math.nan
         notes.append("relative error undefined (zero estimate)")
-    if baseline_variance_mode == "bernoulli":
-        baseline = mean * (1.0 - mean)
-        if var > 0.0:
-            vr = baseline / var
-        else:
-            vr = math.inf
-            notes.append("variance reduction capped (+inf): degenerate replication values")
-    elif baseline_variance_mode == "none":
-        vr = math.nan
+    if var > 0.0:
+        vr = mean * (1.0 - mean) / var
     else:
-        raise ValueError(f"unknown baseline variance mode {baseline_variance_mode!r}")
+        vr = math.inf
+        notes.append("variance reduction capped (+inf): degenerate replication values")
     return EstimateReport(
         estimate=mean,
         std_error=std_error,
@@ -403,7 +390,7 @@ def run_tail_estimate(config: EstimatorConfig) -> EstimateReport:
     t0 = time.perf_counter()
     ctx = RunContext(config)
     values = replicate(ctx, _BLOCKS[config.kind])
-    return aggregate(values, "bernoulli", seed=config.seed, runtime_s=time.perf_counter() - t0)
+    return aggregate(values, seed=config.seed, runtime_s=time.perf_counter() - t0)
 
 
 def is_expected_shortfall(config: EstimatorConfig) -> EstimateReport:

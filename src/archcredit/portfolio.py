@@ -16,6 +16,7 @@ import numpy as np
 
 from .archimedean import GumbelGenerator
 from .errors import NumericalError
+from .stable import LOG_V_MAX
 
 LOSS_EPS = 1e-9  # "loss exceeds n*b" means loss > n*b + LOSS_EPS; snaps integer boundaries
 _VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar
@@ -161,8 +162,8 @@ class LossModel:
 
     Given the raw mixing variable V, a group-j obligor defaults independently
     with probability p_j(V) = 1 - exp(-V * phi(1 - l_j f_n)), and the loss
-    event is loss > n*b.  Built once per run; its methods take one value or
-    an array of replications.
+    event is loss > n*b.  Built once per run, and once to validate each
+    EstimatorConfig; its methods take one value or an array of replications.
     """
 
     def __init__(self, pf: Portfolio, alpha: float, scale: DefaultScale, b: float):
@@ -173,6 +174,13 @@ class LossModel:
         self.counts = tuple(int(g.count) for g in pf.groups)
         self.exposures = tuple(float(g.exposure) for g in pf.groups)
         self.phis = tuple(self.gen.phi_one_minus(g.pd_scale * self.f_n) for g in pf.groups)
+        # p_j(V) = 1 - exp(-V phi_j) rounds to 1 once V phi_j >= 40; below this
+        # bound not even the largest draw, exp(LOG_V_MAX), makes a default certain
+        if min(self.phis) * math.exp(LOG_V_MAX) < 40.0:
+            raise ValueError(
+                f"smallest phi(1 - l_j f_n) = {min(self.phis):g} underflows: no mixing draw "
+                f"makes a default certain (alpha={alpha}, f_n={self.f_n:g})"
+            )
         self.k = threshold_index(pf, b)
 
     def default_probs(self, v) -> np.ndarray:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import NumericalError
@@ -39,6 +38,7 @@ _ABS_TOL = 1e-13
 _REL_TOL = 1e-11
 _LOG_TINY = -745.0  # exp underflows below this
 _CHUNK = 64  # points per series evaluation; bounds the (points, terms) temporaries
+LOG_V_MAX = 700.0  # sampled log V is clamped here, clear of exp overflow at about 709.8
 
 
 def _log_kernel(theta, beta: float):
@@ -128,9 +128,9 @@ class PositiveStableLaw:
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_v = (1.0 - self.beta) / self.beta * (_log_kernel(theta, self.beta) - np.log(w))
             log_v = np.where(ok, log_v, np.nan)
-            good = np.isfinite(log_v) & (log_v < 700.0)
+            good = np.isfinite(log_v) & (log_v < LOG_V_MAX)
             # overflow-scale draws are clamped rather than resampled
-            log_v = np.where(np.isfinite(log_v) & ~good, 700.0, log_v)
+            log_v = np.where(np.isfinite(log_v) & ~good, LOG_V_MAX, log_v)
             keep = np.isfinite(log_v)
             n_keep = int(keep.sum())
             out[filled : filled + n_keep] = np.exp(log_v[keep])
@@ -196,6 +196,9 @@ class PositiveStableLaw:
         return vals, ok
 
     def _quad_eval(self, x: float, kind: str) -> float:
+        # imported here: scipy.integrate costs about 26 MB and 0.2 s to import
+        from scipy.integrate import quad
+
         beta = self.beta
         lam = x ** (-beta / (1.0 - beta))
         if not math.isfinite(lam):

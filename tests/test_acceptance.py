@@ -120,21 +120,21 @@ def test_criterion_1_tail_asymptotic_size_sweep():
 
 
 def test_criterion_2_shortfall_asymptotic_two_paths():
-    quad_vals = {
+    general_vals = {
         n: expected_shortfall_asymptotic(AsymptoticInputs(pf_homog(n), 1.5, SCALE, 0.8))
         for n in TABLE5_ASYM
     }
     closed_vals = {n: homogeneous_shortfall_asymptotic(1.5, 0.8, 1.0, n) for n in TABLE5_ASYM}
-    ok_printed = all(within_sig_digits(quad_vals[n], TABLE5_ASYM[n], 5) for n in TABLE5_ASYM)
+    ok_printed = all(within_sig_digits(general_vals[n], TABLE5_ASYM[n], 5) for n in TABLE5_ASYM)
     ok_paths = all(
-        abs(quad_vals[n] - closed_vals[n]) <= 1e-9 * closed_vals[n] for n in TABLE5_ASYM
+        abs(general_vals[n] - closed_vals[n]) <= 1e-9 * closed_vals[n] for n in TABLE5_ASYM
     )
     verdict(
         "criterion 2",
         ok_printed and ok_paths,
         "shortfall asymptotic "
-        + ", ".join(f"n={n}: {quad_vals[n]:.5f}" for n in TABLE5_ASYM)
-        + f"; quadrature vs closed form agree to 1e-9: {ok_paths}",
+        + ", ".join(f"n={n}: {general_vals[n]:.5f}" for n in TABLE5_ASYM)
+        + f"; general and homogeneous closed forms agree to 1e-9: {ok_paths}",
     )
 
 

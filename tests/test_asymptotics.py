@@ -1,6 +1,11 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import archcredit.asymptotics as asym_mod
 
 from archcredit import (
     AsymptoticInputs,
@@ -32,6 +37,29 @@ class TestInputs:
     def test_resolved_scale(self):
         inputs = homog_inputs(250)
         assert inputs.f_n == pytest.approx(1 / 250)
+
+    def test_vstar_solved_once_for_both_approximations(self, monkeypatch):
+        calls = []
+        real = asym_mod.solve_vstar
+        monkeypatch.setattr(asym_mod, "solve_vstar", lambda *a: calls.append(a) or real(*a))
+        inputs = homog_inputs(500)
+        tail_probability_asymptotic(inputs)
+        expected_shortfall_asymptotic(inputs)
+        assert inputs.vstar == real(inputs.portfolio, 1.5, 0.8)
+        assert len(calls) == 1
+
+    def test_cli_asymptotics_do_not_import_quadrature(self):
+        # scipy.integrate is needed only by the stable law's quadrature fallback
+        code = (
+            "import sys, contextlib, io, archcredit.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['asymptotic', '--n', '100', '--b', '0.8', '--es'])\n"
+            "print(rc, 'scipy.integrate' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src})
+        assert out.stdout.split() == ["0", "False"]
 
 
 class TestTailProbability:

@@ -44,6 +44,19 @@ def test_option_inventory():
     assert sorted(opt.key for opt in cli._OPTIONS if opt.key) == CONFIG_KEYS
 
 
+def test_underflowing_model_is_a_config_error(capsys):
+    for method in ("naive", "conditional"):
+        argv = ["estimate", "--alpha", "100", "--n", "1000", "--method", method, "--m", "100"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "underflows" in err
+    code = cli.main(["estimate", "--alpha", "100", "--n", "50", "--method", "naive",
+                     "--method", "conditional", "--m", "200"])
+    capsys.readouterr()
+    assert code == 0
+
+
 def test_asymptotic_failure_fails_only_its_row(capsys, monkeypatch):
     real = cli.expected_shortfall_asymptotic
     calls = []

@@ -62,6 +62,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             config(alpha=1.0)
 
+    def test_underflowing_phi_rejected_for_every_kind(self):
+        # phi(1 - 0.5/1000) = (-ln(1 - 5e-4))**100 underflows to 0.0: naive and
+        # conditional estimates would be 0 with no error
+        steep = dict(RARE, portfolio=Portfolio.homogeneous(1000, pd_scale=0.5), alpha=100.0)
+        for kind in ("naive", "importance", "conditional"):
+            with pytest.raises(ValueError, match="underflows"):
+                config(steep, kind=kind)
+        # n = 50: phi = 1.7e-200, and the largest draws still default with certainty
+        small = dict(steep, portfolio=Portfolio.homogeneous(50, pd_scale=0.5))
+        assert run_tail_estimate(config(small, m=200)).estimate > 0.0
+
 
 class TestTwist:
     def test_no_twist_when_mean_loss_reaches_target(self):
@@ -381,10 +392,6 @@ class TestAggregate:
     def test_needs_two_values(self):
         with pytest.raises(ValueError):
             aggregate(np.array([1.0]))
-
-    def test_unknown_baseline(self):
-        with pytest.raises(ValueError):
-            aggregate(np.ones(5), "poisson")
 
 
 class TestRunners:

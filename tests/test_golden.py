@@ -5,9 +5,12 @@ seed; its stdout is stored under ``tests/golden/<name>``.  Any change to the
 numbers, the row order, the seeds or the formatting shows up here.  After a
 deliberate change of output (for example a new stream layout), regenerate
 the files with ``PYTHONPATH=src python tests/test_golden.py``, which prints
-``unchanged`` or ``rewritten`` for each file, and say so in CHANGES.md.
+``unchanged`` or ``rewritten`` for each file, with the columns whose fields
+changed and the largest relative change in each, and say so in CHANGES.md.
 """
 
+import csv
+import io
 import sys
 from pathlib import Path
 
@@ -50,9 +53,40 @@ def test_output_matches_golden(name, capsys):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+def _fields(text: str) -> list[list[str]]:
+    """The rows of a CSV or markdown report, header included, as field lists."""
+    if text.startswith("|"):
+        lines = [ln for ln in text.splitlines() if not ln.startswith("|-")]
+        return [[f.strip() for f in ln.strip("|").split("|")] for ln in lines]
+    return list(csv.reader(io.StringIO(text)))
+
+
+def describe_change(old: str, new: str) -> str:
+    """The columns whose fields differ, each with its largest relative change
+    (numeric fields) or ``text`` (any other difference)."""
+    old_rows, new_rows = _fields(old), _fields(new)
+    if len(old_rows) != len(new_rows) or old_rows[:1] != new_rows[:1]:
+        return f"rows or header changed ({len(old_rows)} -> {len(new_rows)} lines)"
+    worst: dict[str, float | str] = {}
+    for before, after in zip(old_rows[1:], new_rows[1:]):
+        for col, a, b in zip(new_rows[0], before, after):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+                rel = abs(y - x) / abs(x) if x else abs(y - x)
+            except ValueError:
+                worst[col] = "text"
+                continue
+            if worst.get(col) != "text":
+                worst[col] = max(rel, worst.get(col, 0.0))
+    return ", ".join(
+        f"{col} {v:.2g}" if isinstance(v, float) else f"{col} {v}" for col, v in worst.items()
+    )
+
+
 if __name__ == "__main__":  # regenerate the golden files
     import contextlib
-    import io
 
     for name, argv in CASES.items():
         buf = io.StringIO()
@@ -64,5 +98,6 @@ if __name__ == "__main__":  # regenerate the golden files
         if path.exists() and path.read_bytes() == data:
             print(f"unchanged {name}")
         else:
+            change = describe_change(path.read_text(), data.decode()) if path.exists() else "new"
             path.write_bytes(data)
-            print(f"rewritten {name}")
+            print(f"rewritten {name}: {change}")
