@@ -5,7 +5,7 @@ two-step importance sampling, conditional Monte Carlo) for the probability of
 large portfolio losses and the expected shortfall.
 """
 
-from .archimedean import GumbelGenerator, sample_uniforms
+from .archimedean import GumbelGenerator
 from .asymptotics import (
     AsymptoticInputs,
     expected_shortfall_asymptotic,
@@ -18,7 +18,6 @@ from .estimators import (
     EstimateReport,
     EstimatorConfig,
     RunContext,
-    TwistState,
     aggregate,
     condmc_block,
     is_expected_shortfall,
@@ -27,7 +26,6 @@ from .estimators import (
     naive_tail_block,
     replicate,
     run_tail_estimate,
-    solve_theta_star,
 )
 from .portfolio import (
     DefaultScale,
@@ -35,7 +33,6 @@ from .portfolio import (
     Portfolio,
     SubPortfolio,
     limiting_mean_loss,
-    realized_loss,
     solve_vstar,
     threshold_index,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "RngStream",
     "RunContext",
     "SubPortfolio",
-    "TwistState",
     "aggregate",
     "condmc_block",
     "expected_shortfall_asymptotic",
@@ -67,11 +63,8 @@ __all__ = [
     "is_tail_block",
     "limiting_mean_loss",
     "naive_tail_block",
-    "realized_loss",
     "replicate",
     "run_tail_estimate",
-    "sample_uniforms",
-    "solve_theta_star",
     "solve_vstar",
     "tail_probability_asymptotic",
     "threshold_index",

@@ -22,6 +22,7 @@ per-replication values in index order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -62,7 +63,7 @@ class EstimatorConfig:
             raise ValueError(f"splice point x0 must be positive, got {self.x0}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        model = LossModel(self.portfolio, self.alpha, self.scale, self.b)
+        model = self.model
         if self.kind == "importance":
             phi_f = model.gen.phi_one_minus(model.f_n)
             if not phi_f < 1.0:
@@ -70,6 +71,11 @@ class EstimatorConfig:
                     f"splice tail shape undefined: phi(1 - f_n)={phi_f} >= 1; "
                     "the default scale is too large for importance sampling"
                 )
+
+    @functools.cached_property
+    def model(self) -> LossModel:
+        """The run's loss model, built once: ``__post_init__`` reads it to validate."""
+        return LossModel(self.portfolio, self.alpha, self.scale, self.b)
 
 
 @dataclass(frozen=True)
@@ -86,21 +92,13 @@ class EstimateReport:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class TwistState:
-    """Exponential twist of the conditional default probabilities."""
-
-    theta: float
-    twisted: tuple[float, ...]
-
-
 class RunContext:
     """Run-level state shared by every replication: the loss model, the mixing
     law and, for importance sampling, the splice constants."""
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
-        self.model = model = LossModel(config.portfolio, config.alpha, config.scale, config.b)
+        self.model = model = config.model
         self.law: PositiveStableLaw = model.gen.mixing_law()
 
         if config.kind == "importance":
@@ -122,23 +120,6 @@ class RunContext:
 
 
 # twisting ---------------------------------------------------------------
-
-
-def solve_theta_star(pf: Portfolio, probs, b: float) -> TwistState:
-    """Twist parameter making the mean loss under the proposal equal n*b.
-
-    If the untwisted mean loss already reaches n*b the probabilities are left
-    unchanged (theta = 0).  Otherwise the strictly increasing derivative of
-    the conditional cumulant is inverted by safeguarded Newton iteration to
-    |mean loss - n*b| <= 1e-9 * n*b, else NumericalError.
-    """
-    probs = np.array([probs], dtype=float)
-    if np.any(~((probs > 0.0) & (probs < 1.0))):
-        raise ValueError("conditional probabilities must lie strictly inside (0, 1)")
-    counts = tuple(int(g.count) for g in pf.groups)
-    exposures = tuple(float(g.exposure) for g in pf.groups)
-    theta, twisted = _solve_twist(counts, exposures, probs, pf.n * b)
-    return TwistState(float(theta[0]), tuple(float(p) for p in twisted[0]))
 
 
 def _solve_twist(counts, exposures, probs: np.ndarray, nb: float):

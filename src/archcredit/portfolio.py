@@ -162,8 +162,8 @@ class LossModel:
 
     Given the raw mixing variable V, a group-j obligor defaults independently
     with probability p_j(V) = 1 - exp(-V * phi(1 - l_j f_n)), and the loss
-    event is loss > n*b.  Built once per run, and once to validate each
-    EstimatorConfig; its methods take one value or an array of replications.
+    event is loss > n*b.  Built once per EstimatorConfig, which validates
+    it; its methods take one value or an array of replications.
     """
 
     def __init__(self, pf: Portfolio, alpha: float, scale: DefaultScale, b: float):
@@ -257,12 +257,3 @@ def threshold_index(pf: Portfolio, b: float) -> int | None:
         return None
     return max(int(math.floor(nb / c + LOSS_EPS)) + 1, 1)
 
-
-def realized_loss(pf: Portfolio, defaults: "np.ndarray | list[int]") -> float:
-    """Total loss from per-group default counts."""
-    d = np.asarray(defaults)
-    if d.shape != (len(pf.groups),):
-        raise ValueError(f"expected one default count per group, got shape {d.shape}")
-    if np.any(d < 0) or np.any(d > pf.counts):
-        raise ValueError("default counts must lie between 0 and the group sizes")
-    return float(np.dot(pf.exposures, d))

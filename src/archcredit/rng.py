@@ -46,9 +46,5 @@ class RngStream:
     def binomial(self, n, p, size=None):
         return self._gen.binomial(n, p, size)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, key={self.key})"

@@ -147,9 +147,6 @@ class PositiveStableLaw:
         """Survival function P(V > x) for x > 0, absolute accuracy <= 1e-10."""
         return self._evaluate(x, kind="sf")
 
-    def cdf(self, x):
-        return 1.0 - self.sf(x)
-
     def _evaluate(self, x, kind: str):
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0

@@ -25,7 +25,6 @@ from archcredit import (
     naive_tail_block,
     replicate,
     run_tail_estimate,
-    solve_theta_star,
 )
 
 RARE = dict(
@@ -74,19 +73,26 @@ class TestConfig:
         assert run_tail_estimate(config(small, m=200)).estimate > 0.0
 
 
+def solve_twist(pf, probs, b):
+    """theta and the twisted probabilities of one replication."""
+    probs = np.array([probs], dtype=float)
+    theta, twisted = est_mod._solve_twist(pf.counts, pf.exposures, probs, pf.n * b)
+    return theta[0], tuple(twisted[0])
+
+
 class TestTwist:
     def test_no_twist_when_mean_loss_reaches_target(self):
         pf = Portfolio.homogeneous(500)
-        tw = solve_theta_star(pf, [0.9], 0.8)
-        assert tw.theta == 0.0
-        assert tw.twisted == (0.9,)
+        theta, twisted = solve_twist(pf, [0.9], 0.8)
+        assert theta == 0.0
+        assert twisted == (0.9,)
 
     def test_homogeneous_closed_form(self):
         # 500 obligors at p=0.1 twisted to mean 400: odds ratio 36
         pf = Portfolio.homogeneous(500)
-        tw = solve_theta_star(pf, [0.1], 0.8)
-        assert tw.theta == pytest.approx(math.log(36.0), rel=1e-12)
-        assert tw.twisted[0] == pytest.approx(0.8, rel=1e-12)
+        theta, twisted = solve_twist(pf, [0.1], 0.8)
+        assert theta == pytest.approx(math.log(36.0), rel=1e-12)
+        assert twisted[0] == pytest.approx(0.8, rel=1e-12)
 
     def test_multi_group_calibration(self):
         pf = Portfolio(
@@ -94,12 +100,12 @@ class TestTwist:
         )
         probs = (0.05, 0.02)
         b = 1.1
-        tw = solve_theta_star(pf, probs, b)
-        assert tw.theta > 0.0
+        theta, twisted = solve_twist(pf, probs, b)
+        assert theta > 0.0
         mean = sum(
             n * c * pt
             for n, c, pt in zip(
-                [g.count for g in pf.groups], [g.exposure for g in pf.groups], tw.twisted
+                [g.count for g in pf.groups], [g.exposure for g in pf.groups], twisted
             )
         )
         assert abs(mean - pf.n * b) <= 1e-9 * pf.n * b
@@ -107,9 +113,9 @@ class TestTwist:
     def test_twisted_probabilities_form(self):
         pf = Portfolio([SubPortfolio(1.0, 0.5, 50), SubPortfolio(3.0, 0.5, 50)])
         probs = (0.1, 0.2)
-        tw = solve_theta_star(pf, probs, 1.2)
-        for p, pt, c in zip(probs, tw.twisted, (1.0, 3.0)):
-            want = p * math.exp(tw.theta * c) / (1.0 + p * (math.exp(tw.theta * c) - 1.0))
+        theta, twisted = solve_twist(pf, probs, 1.2)
+        for p, pt, c in zip(probs, twisted, (1.0, 3.0)):
+            want = p * math.exp(theta * c) / (1.0 + p * (math.exp(theta * c) - 1.0))
             assert pt == pytest.approx(want, rel=1e-12)
 
     def test_step_cap_raises(self, monkeypatch):
@@ -117,20 +123,13 @@ class TestTwist:
         pf = Portfolio([SubPortfolio(1.0, 0.5, 50), SubPortfolio(3.0, 0.5, 50)])
         monkeypatch.setattr(est_mod, "_TWIST_STEPS", 1)
         with pytest.raises(NumericalError, match="did not converge") as info:
-            solve_theta_star(pf, (0.1, 0.2), 1.2)
+            solve_twist(pf, (0.1, 0.2), 1.2)
         assert info.value.achieved > 1e-9 * 120.0
 
     def test_unattainable_target(self):
         pf = Portfolio.homogeneous(10)
         with pytest.raises(ValueError, match="attainable"):
-            solve_theta_star(pf, [0.5], 1.5)  # n*b beyond total exposure
-
-    def test_probability_domain(self):
-        pf = Portfolio.homogeneous(10)
-        with pytest.raises(ValueError):
-            solve_theta_star(pf, [0.0], 0.5)
-        with pytest.raises(ValueError):
-            solve_theta_star(pf, [1.0], 0.5)
+            solve_twist(pf, [0.5], 1.5)  # n*b beyond total exposure
 
 
 @st.composite

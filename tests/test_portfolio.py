@@ -14,7 +14,6 @@ from archcredit import (
     Portfolio,
     SubPortfolio,
     limiting_mean_loss,
-    realized_loss,
     solve_vstar,
     threshold_index,
 )
@@ -208,24 +207,3 @@ class TestThresholdIndex:
         # mixed exposures: the index is found per replication
         assert threshold_index(two_group, 0.5) is None
 
-
-class TestRealizedLoss:
-    def test_examples(self, two_group):
-        assert realized_loss(two_group, [0, 0]) == 0.0
-        assert realized_loss(two_group, [300, 200]) == pytest.approx(700.0)
-        pf = Portfolio([SubPortfolio(1.0, 0.5, 10), SubPortfolio(2.0, 0.5, 10)])
-        assert realized_loss(pf, [3, 5]) == pytest.approx(13.0)
-
-    def test_invalid_counts(self, two_group):
-        with pytest.raises(ValueError):
-            realized_loss(two_group, [301, 0])
-        with pytest.raises(ValueError):
-            realized_loss(two_group, [-1, 0])
-        with pytest.raises(ValueError):
-            realized_loss(two_group, [1, 2, 3])
-
-    @given(d1=st.integers(0, 300), d2=st.integers(0, 200))
-    @settings(max_examples=50, deadline=None)
-    def test_linear_in_counts(self, d1, d2):
-        pf = Portfolio([SubPortfolio(1.0, 0.5, 300), SubPortfolio(2.0, 0.8, 200)])
-        assert realized_loss(pf, [d1, d2]) == pytest.approx(d1 + 2.0 * d2)
