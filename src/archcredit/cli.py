@@ -41,7 +41,7 @@ from .asymptotics import (
     tail_probability_asymptotic,
 )
 from .errors import EstimationError, NumericalError
-from .estimators import EstimatorConfig, is_expected_shortfall, run_tail_estimate
+from .estimators import _KINDS, EstimatorConfig, is_expected_shortfall, run_tail_estimate
 from .portfolio import DefaultScale, Portfolio, SubPortfolio
 
 COLUMNS = (
@@ -59,7 +59,6 @@ COLUMNS = (
     "seed",
 )
 
-_ESTIMATORS = ("naive", "importance", "conditional")
 _SCALE_KINDS = ("constant", "log-reciprocal", "reciprocal")
 
 
@@ -138,7 +137,7 @@ def _methods(raw) -> list[str]:
     methods = [str(x) for x in raw]
     if not methods:
         raise ConfigError("estimator set is empty; pass at least one --method")
-    unknown = [x for x in methods if x not in _ESTIMATORS]
+    unknown = [x for x in methods if x not in _KINDS]
     if unknown:
         raise ConfigError(f"unknown estimator {unknown[0]!r}")
     return methods
@@ -179,7 +178,7 @@ _OPTIONS = (
     _opt("b", "b", _listed(float), "--b", type=float, action="append",
          help="loss level (repeatable)"),
     _opt("methods", "methods", _methods, "--method", commands=("estimate",), action="append",
-         choices=_ESTIMATORS,
+         choices=_KINDS,
          help="estimator to run (repeatable; default: importance and conditional)"),
     _opt("m", "m", int, "--m", type=int, help="number of replications"),
     _opt("seed", "seed", int, "--seed", type=int, help="base seed; row i uses seed + i"),
@@ -196,7 +195,8 @@ _OPTIONS = (
 )
 
 
-def _load_config_file(path: str, settings: Settings) -> Settings:
+def _load_config_file(path: str, settings: Settings) -> set[str]:
+    """Set the entries of a config file on ``settings``; the attributes they set."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -210,27 +210,30 @@ def _load_config_file(path: str, settings: Settings) -> Settings:
     unknown = set(raw) - set(options)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    given = set()
     for key, value in raw.items():
         attrs, value = options[key].attrs, options[key].convert(value)
-        if isinstance(attrs, tuple):
-            for attr, part in zip(attrs, value):
-                setattr(settings, attr, part)
-        else:
-            setattr(settings, attrs, value)
-    return settings
+        if not isinstance(attrs, tuple):
+            attrs, value = (attrs,), (value,)
+        for attr, part in zip(attrs, value):
+            setattr(settings, attr, part)
+        given.update(attrs)
+    return given
 
 
-def _apply_flags(args, settings: Settings) -> Settings:
-    if args.config:
-        settings = _load_config_file(args.config, settings)
+def _apply_flags(args, settings: Settings) -> tuple[Settings, set[str]]:
+    """The settings after the config file and the flags, and the names of the
+    ``Settings`` attributes that either of them set."""
+    given = _load_config_file(args.config, settings) if args.config else set()
     for opt in _OPTIONS:
         dest = opt.kwargs.get("dest")
         value = getattr(args, dest, None) if dest else None
         if value is not None:
             setattr(settings, dest, value)
+            given.add(dest)
     if settings.fmt not in ("csv", "markdown"):
         raise ConfigError(f"unknown output format {settings.fmt!r}")
-    return settings
+    return settings, given
 
 
 def _log(msg: str) -> None:
@@ -293,19 +296,21 @@ _PRESETS = {
     "es": (None, dict(methods=_ES, asymptotic=True)),
     "asymptotic": (None, dict(methods=["asymptotic_tail"], asymptotic=True)),
     "asymptotic --es": (None, dict(methods=["asymptotic_tail", "asymptotic_es"], asymptotic=True)),
-    "2": ([1.1, 1.5, 2.0, 5.0], dict(n=[500], b=[0.8], methods=_PAIR, asymptotic=False)),
-    "3": ([1.5], dict(n=[500], b=[0.3, 0.5, 0.7, 0.9], methods=_PAIR, asymptotic=False)),
-    "4": ([1.5], dict(n=[100, 250, 500, 1000], b=[0.8], methods=_PAIR, asymptotic=True)),
-    "5": (None, dict(n=[50, 100, 250, 500], b=[0.8], methods=_ES, asymptotic=True)),
+    "table 2": ([1.1, 1.5, 2.0, 5.0], dict(n=[500], b=[0.8], methods=_PAIR, asymptotic=False)),
+    "table 3": ([1.5], dict(n=[500], b=[0.3, 0.5, 0.7, 0.9], methods=_PAIR, asymptotic=False)),
+    "table 4": ([1.5], dict(n=[100, 250, 500, 1000], b=[0.8], methods=_PAIR, asymptotic=True)),
+    "table 5": (None, dict(n=[50, 100, 250, 500], b=[0.8], methods=_ES, asymptotic=True)),
 }
 
 
-def _plan(settings: Settings, command: str) -> list[_Task]:
+def _plan(settings: Settings, command: str, given=frozenset()) -> list[_Task]:
     """One task per (alpha, n, b, method) of the command's grid, in row order.
 
     The rows of one (alpha, n, b) point share its validated AsymptoticInputs;
     a Monte Carlo row also gets a validated run config with seed
-    ``seed + row index``.  Nothing is computed here.
+    ``seed + row index``.  Nothing is computed here.  A setting in ``given``
+    (set by a flag or a config key) that the command's preset fixes is a
+    ConfigError.
     """
     alphas, fixed = _PRESETS[command]
     settings = dataclasses.replace(settings, **fixed)
@@ -327,6 +332,9 @@ def _plan(settings: Settings, command: str) -> list[_Task]:
                             x0=settings.x0, kind="importance" if method in _ES else method,
                         )
                     tasks.append(_Task(method, point, config, settings.asymptotic))
+    fixed_given = sorted(given & ({*fixed, "alpha"} if alphas else set(fixed)))
+    if fixed_given:
+        raise ConfigError(f"{command} fixes {', '.join(fixed_given)}; drop the flag or config key")
     return tasks
 
 
@@ -415,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.table if args.command == "table" else args.command
+    command = f"table {args.table}" if args.command == "table" else args.command
     if getattr(args, "es", None):
         command += " --es"
     try:
-        settings = _apply_flags(args, Settings())
-        tasks = _plan(settings, command)
+        settings, given = _apply_flags(args, Settings())
+        tasks = _plan(settings, command, given)
     except ValueError as exc:  # a ConfigError or a check of the model inputs
         _log(f"configuration error: {exc}")
         return 2

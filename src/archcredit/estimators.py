@@ -35,7 +35,6 @@ from .portfolio import LOSS_EPS, DefaultScale, LossModel, Portfolio
 from .rng import RngStream
 from .stable import PositiveStableLaw
 
-_KINDS = ("naive", "importance", "conditional")
 B = 64  # replications per block; block j draws from RngStream(seed).substream(j)
 _REJECTION_CAP = 10**6  # rejection rounds allowed to fill the body draws of one block
 _TWIST_STEPS = 200  # cap on the bracket doublings and on the Newton steps of the twist solve
@@ -306,8 +305,17 @@ def _tipping_times(model: LossModel, rng: RngStream, size: int) -> np.ndarray:
 # aggregation and runners ---------------------------------------------------
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, or NumericalError with the count of its non-finite entries."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise NumericalError(f"{bad} of {values.size} replication values are not finite")
+    return values
+
+
 def aggregate(values: np.ndarray, *, seed: int = 0, runtime_s: float = 0.0) -> EstimateReport:
-    """Fold per-replication values into a report.
+    """Fold per-replication values into a report; a non-finite value is a
+    NumericalError.
 
     The relative error is that of the final estimate (per-replication std
     over sqrt(m), divided by the mean).  Variance reduction compares the
@@ -318,6 +326,7 @@ def aggregate(values: np.ndarray, *, seed: int = 0, runtime_s: float = 0.0) -> E
     m = values.size
     if m < 2:
         raise ValueError("aggregation needs at least 2 replications")
+    _finite(values)
     mean = float(values.mean())
     var = float(values.var(ddof=1))
     std_error = math.sqrt(var / m)
@@ -364,6 +373,7 @@ _BLOCKS = {
     "importance": is_tail_block,
     "conditional": condmc_block,
 }
+_KINDS = tuple(_BLOCKS)
 
 
 def run_tail_estimate(config: EstimatorConfig) -> EstimateReport:
@@ -394,6 +404,7 @@ def is_expected_shortfall(config: EstimatorConfig) -> EstimateReport:
         )
     num = np.where(exceed, (losses - nb) * weights, 0.0)
     den = np.where(exceed, weights, 0.0)
+    pair = _finite(np.vstack([num, den]))
     num_mean = float(num.mean())
     den_mean = float(den.mean())
     if den_mean <= 0.0:
@@ -401,7 +412,7 @@ def is_expected_shortfall(config: EstimatorConfig) -> EstimateReport:
             "all exceeding replications carried zero likelihood weight; increase m"
         )
     estimate = nb + num_mean / den_mean
-    cov = np.cov(np.vstack([num, den]), ddof=1)
+    cov = np.cov(pair, ddof=1)
     var_ratio = (
         cov[0, 0] / den_mean**2
         - 2.0 * num_mean * cov[0, 1] / den_mean**3

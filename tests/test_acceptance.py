@@ -6,13 +6,16 @@ The published reference grid: homogeneous portfolio, exposure 1, pd multiplier
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import archcredit
 from archcredit import (
     AsymptoticInputs,
     DefaultScale,
@@ -276,6 +279,9 @@ def test_criterion_9_splice_point_insensitivity(table2_is):
 
 
 def test_criterion_10_preset_determinism(tmp_path):
+    # the child interpreter imports the package the tests import
+    paths = [str(Path(archcredit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     outs = []
     for name in ("first.csv", "second.csv"):
         path = tmp_path / name
@@ -295,6 +301,7 @@ def test_criterion_10_preset_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())

@@ -113,6 +113,23 @@ class TestEstimateCommand:
         assert (code, out) == (2, "")
         assert "groups" in err
 
+    def test_setting_fixed_by_preset_rejected(self, capsys, tmp_path):
+        # presets used to override these without a word (exit 0)
+        code, out, err = run_cli(capsys, "table", "2", "--n", "100", "--b", "0.5",
+                                 "--alpha", "3", "--m", "10")
+        assert (code, out) == (2, "")
+        assert "table 2 fixes alpha, b, n" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["naive"]}))
+        code, out, err = run_cli(capsys, "es", "--config", str(cfg), "--m", "10")
+        assert (code, out) == (2, "")
+        assert "es fixes methods" in err
+        # table 5 brings no alpha grid, so --alpha stays a setting of its own
+        settings, given = cli._apply_flags(
+            cli.build_parser().parse_args(["table", "5", "--alpha", "2.0"]), cli.Settings()
+        )
+        assert {t.point.alpha for t in cli._plan(settings, "table 5", given)} == {2.0}
+
     def test_invalid_level_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--b", "1.5", "--m", "100")
         assert code == 2

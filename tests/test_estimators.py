@@ -80,6 +80,23 @@ def solve_twist(pf, probs, b):
     return theta[0], tuple(twisted[0])
 
 
+def test_one_loss_model_per_config(monkeypatch):
+    # the config validates with the model its runs use: one build, not one
+    # per validation and one per run
+    builds = []
+    real = est_mod.LossModel
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(est_mod, "LossModel", counting)
+    cfg = config(kind="importance", m=200)
+    run_tail_estimate(cfg)
+    is_expected_shortfall(cfg)
+    assert len(builds) == 1
+
+
 class TestTwist:
     def test_no_twist_when_mean_loss_reaches_target(self):
         pf = Portfolio.homogeneous(500)
@@ -168,8 +185,11 @@ class TestTwistProperties:
         counts, exposures, probs, nb = problem
         theta, twisted = est_mod._solve_twist(counts, exposures, probs, nb)
         assert theta.shape == (len(probs),) and twisted.shape == probs.shape
-        for p, t, pt in zip(probs, theta, twisted):
-            if float(np.dot(np.multiply(counts, exposures), p)) >= nb:
+        # the untwisted means summed as the solver sums them: a row whose mean
+        # sits on n*b to rounding may fall either side of it
+        reached = probs @ np.multiply(counts, exposures) >= nb
+        for p, t, pt, done in zip(probs, theta, twisted, reached):
+            if done:
                 assert t == 0.0
                 np.testing.assert_array_equal(pt, p)
                 continue
@@ -392,6 +412,11 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(np.array([1.0]))
 
+    def test_non_finite_values_rejected(self):
+        # a NaN used to give a NaN estimate with "variance reduction capped"
+        with pytest.raises(NumericalError, match="2 of 4 replication values are not finite"):
+            aggregate(np.array([1.0, np.nan, 0.5, np.inf]))
+
 
 class TestRunners:
     def test_bitwise_determinism(self):
@@ -412,6 +437,16 @@ class TestExpectedShortfall:
         cfg = config(kind="importance", m=2, seed=13)
         with pytest.raises(EstimationError, match="increase m"):
             is_expected_shortfall(cfg)
+
+    def test_non_finite_weight_rejected(self, monkeypatch):
+        def losses_and_weights(ctx, rng, size):
+            weight = np.ones(size)
+            weight[0] = np.inf
+            return np.stack((np.full(size, ctx.model.nb + 1.0), weight))
+
+        monkeypatch.setattr(est_mod, "_is_loss_and_weight", losses_and_weights)
+        with pytest.raises(NumericalError, match="not finite"):
+            is_expected_shortfall(config(kind="importance", m=10))
 
     def test_kind_coerced_to_importance(self):
         rep = is_expected_shortfall(config(kind="conditional", m=4000, seed=3))
