@@ -303,7 +303,7 @@ _PRESETS = {
 }
 
 
-def _plan(settings: Settings, command: str, given=frozenset()) -> list[_Task]:
+def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
     """One task per (alpha, n, b, method) of the command's grid, in row order.
 
     The rows of one (alpha, n, b) point share its validated AsymptoticInputs;

@@ -256,4 +256,3 @@ def threshold_index(pf: Portfolio, b: float) -> int | None:
     if c is None:
         return None
     return max(int(math.floor(nb / c + LOSS_EPS)) + 1, 1)
-

@@ -206,4 +206,3 @@ class TestThresholdIndex:
     def test_heterogeneous_exposures_deferred(self, two_group):
         # mixed exposures: the index is found per replication
         assert threshold_index(two_group, 0.5) is None
-
