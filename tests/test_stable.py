@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import erf
+from scipy.special import erf, gammaln
 
 import archcredit.stable as stable_mod
 from archcredit import NumericalError, PositiveStableLaw, RngStream
@@ -22,6 +22,9 @@ def levy_pdf(x):
 
 def levy_sf(x):
     return erf(1.0 / (2.0 * math.sqrt(x)))
+
+
+BETAS = [0.2, 1 / 3, 0.5, 2 / 3, 0.8, 1 / 1.1]
 
 
 @pytest.fixture(scope="module")
@@ -154,18 +157,93 @@ class TestQuantilesAgainstSamples:
             assert abs(emp - q) <= eps, f"beta={beta}, q={q}"
 
 
+def series_oracle(beta, x, kind, terms=20_000):
+    """The power series summed term by term to ``terms`` terms with
+    ``math.fsum``, and the largest term's magnitude."""
+    k = np.arange(1, terms + 1, dtype=float)
+    delta = 1.0 if kind == "pdf" else 0.0
+    log_c = gammaln(k * beta + delta) - gammaln(k + 1.0) - (k * beta + delta) * math.log(x)
+    t = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(k * math.pi * beta) * np.exp(log_c) / math.pi
+    return math.fsum(t), float(np.abs(t).max())
+
+
+def term_counts(law, xs, kind):
+    """Terms each point sums: its certified count K(x), or the full series."""
+    counts = np.searchsorted(law._series[kind].steps, -np.log(xs)) + 1
+    return np.where(counts > stable_mod._SHORT_TERMS, stable_mod._SERIES_TERMS, counts)
+
+
+class TestSeriesTruncation:
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_truncated_series_within_rounding_of_full_sum(self, beta):
+        # each point sums only its certified term count; the left-out tail is
+        # below 1e-17 of the first term, so what remains is the rounding of
+        # the terms, a few eps times the log of each, here and in the oracle
+        law = PositiveStableLaw(beta)
+        xs = np.logspace(0.5, 16, 32)
+        for kind in ("sf", "pdf"):
+            assert len(set(term_counts(law, xs, kind))) > 3
+            got = getattr(law, kind)(xs)
+            for x, g in zip(xs, got):
+                want, biggest = series_oracle(beta, x, kind)
+                assert abs(g - want) <= 64 * np.finfo(float).eps * biggest, (kind, x)
+
+    def test_full_series_accepted_only_within_tolerance(self):
+        # at beta = 0.99 the terms near x = 1 fall by a ratio close to 1, so
+        # ten times the last terms underestimates the left-out tail; a point
+        # the series cannot certify goes to the quadrature
+        law = PositiveStableLaw(0.99)
+        xs = np.linspace(0.97, 1.05, 33)
+        for kind in ("sf", "pdf"):
+            got = getattr(law, kind)(xs)
+            for x, g in zip(xs, got):
+                assert abs(g - series_oracle(0.99, x, kind)[0]) <= 1e-10, (kind, x)
+
+    @pytest.mark.parametrize("beta", BETAS + [0.99, 0.999])
+    def test_envelope_ratio_bound_holds_past_the_table(self, beta):
+        # the table bounds every envelope ratio past term N + 1 by one
+        # closed-form value; check it term by term far beyond
+        for kind, delta in (("pdf", 1.0), ("sf", 0.0)):
+            j = np.arange(stable_mod._SERIES_TERMS + 2, 200_000, dtype=float)
+            g = gammaln((j + 1.0) * beta + delta) - gammaln(j * beta + delta) - np.log(j + 1.0)
+            assert g.max() <= PositiveStableLaw(beta)._series[kind].log_ratio_sup[-1], kind
+
+
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("beta", [0.5, 2 / 3, 10 / 11])
     def test_one_call_matches_point_by_point_bits(self, beta):
-        # 200 points span several chunks and both the series and the
-        # quadrature regime; batching must not change a bit
+        # 200 points span several chunks, many term counts, the full series
+        # and the quadrature regime; batching must not change a bit
         law = PositiveStableLaw(beta)
         xs = np.logspace(-2, 8, 200)
         assert stable_mod._CHUNK < xs.size
         for kind in ("sf", "pdf"):
             series_ok = law._series_eval(xs, kind)[1]
             assert series_ok.any() and not series_ok.all()
+            assert len(set(term_counts(law, xs[series_ok], kind))) > 2
+            assert stable_mod._SERIES_TERMS in term_counts(law, xs, kind)
             evaluate = getattr(law, kind)
             batch = evaluate(xs)
             single = np.array([evaluate(float(x)) for x in xs])
             assert batch.tobytes() == single.tobytes(), kind
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 64, 65])
+    def test_array_sizes_match_point_by_point_bits(self, size):
+        # sizes around the chunk of 64; the points mix term counts, so one
+        # call sums more columns than most of its points need
+        law = PositiveStableLaw(1 / 1.1)
+        xs = np.geomspace(2.0, 1e15, 65)[::-1][:size]
+        for kind in ("sf", "pdf"):
+            evaluate = getattr(law, kind)
+            batch = evaluate(xs)
+            assert batch.shape == (size,)
+            single = np.array([evaluate(float(x)) for x in xs])
+            assert batch.tobytes() == single.tobytes(), (kind, size)
+
+    def test_zero_dimensional_input_gives_a_float(self):
+        law = PositiveStableLaw(1 / 1.1)
+        for kind in ("sf", "pdf"):
+            evaluate = getattr(law, kind)
+            got = evaluate(np.array(37.5))
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == evaluate(np.array([37.5]))[0].tobytes()
