@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,18 @@ class TestEstimateCommand:
             assert code == 2
             assert out == ""
             assert what in err
+
+    def test_two_replication_row_fills_every_value(self, capsys):
+        # the first mc-mix row cut to m = 2, as perfbench/run.py runs it for
+        # its warm-up and its fresh-interpreter set-up probe
+        code, out, _ = run_cli(
+            capsys, "estimate", "--method", "conditional", "--alpha", "1.1", "--n", "500",
+            "--b", "0.8", "--m", "2", "--seed", "0",
+        )
+        assert code == 0
+        (row,) = parse_csv(out)
+        for field in ("estimate", "std_error", "rel_error_pct", "var_reduction"):
+            assert math.isfinite(float(row[field])), field
 
     def test_value_error_fails_only_its_row(self, capsys, monkeypatch):
         real = cli.run_tail_estimate
