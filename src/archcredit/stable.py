@@ -162,13 +162,13 @@ class PositiveStableLaw:
         envelope e_k(x) = Gamma(k b + delta) / (k! pi) * x^(-k b - delta)
         bounds |term k|, since |sin| <= 1.  Its term ratio e_{j+1}/e_j is
         exp(g_j) x^-b with g_j = log Gamma((j+1) b + delta) - log Gamma(j b + delta)
-        - log(j + 1), taken from gammaln up to j = N + 1.  Past that, lgamma's
+        - log(j + 1), taken from gammaln up to j = N + 1.  Past that, log-gamma's
         convexity and psi(y) < log y give
             g_j <= (b - 1) log(j + 1) + b log(b + delta / (j + 1)),
         which falls with j, so its value at j = N + 2 bounds every later g_j.
         """
         beta = self.beta
-        k = np.arange(1, _SERIES_TERMS + 3, dtype=float)  # one past term N + 1
+        k = np.arange(1, _SERIES_TERMS + 3, dtype=float)  # terms 1 .. N + 2
         s = np.sin(k[:_SERIES_TERMS] * math.pi * beta)
         sign = np.where(k[:_SERIES_TERMS] % 2 == 1, 1.0, -1.0) * np.sign(s)
         with np.errstate(divide="ignore"):
