@@ -34,7 +34,6 @@ from .portfolio import (
     SubPortfolio,
     limiting_mean_loss,
     solve_vstar,
-    threshold_index,
 )
 from .rng import RngStream
 from .stable import PositiveStableLaw
@@ -67,7 +66,6 @@ __all__ = [
     "run_tail_estimate",
     "solve_vstar",
     "tail_probability_asymptotic",
-    "threshold_index",
 ]
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ class AsymptoticInputs:
     def __post_init__(self):
         check_model(self.portfolio, self.alpha, self.scale, self.b)
 
-    @property
+    @cached_property
     def f_n(self) -> float:
         return self.scale.resolve(self.portfolio.n)
 

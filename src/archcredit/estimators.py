@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, NumericalError
-from .portfolio import LOSS_EPS, DefaultScale, LossModel, Portfolio
+from .portfolio import DefaultScale, LossModel, Portfolio
 from .rng import RngStream
 from .stable import PositiveStableLaw
 
@@ -137,16 +137,17 @@ def _solve_twist(counts, exposures, probs: np.ndarray, nb: float):
             f"twist target n*b={nb} not attainable: twisted mean loss is capped at "
             f"{attainable.min()}"
         )
-    c = np.asarray(exposures, dtype=float)
-    if len(c) == 1:
+    if len(exposures) == 1:
         # single group: p_twisted = nb / (n c) has a closed form
         q = nb / nc[0]
-        theta[need] = np.log(q * (1.0 - p[:, 0]) / (p[:, 0] * (1.0 - q))) / c[0]
+        theta[need] = np.log(q * (1.0 - p[:, 0]) / (p[:, 0] * (1.0 - q))) / exposures[0]
         twisted[need] = q
         return theta, twisted
-    t = _twist_newton(p, nc, c, nb)
+    t = _twist_newton(p, nc, exposures, nb)
     with np.errstate(divide="ignore", invalid="ignore"):
-        twisted[need] = np.where(p > 0.0, p / (p + (1.0 - p) * np.exp(-t[:, None] * c)), 0.0)
+        twisted[need] = np.where(
+            p > 0.0, p / (p + (1.0 - p) * np.exp(-t[:, None] * exposures)), 0.0
+        )
     theta[need] = t
     return theta, twisted
 
@@ -209,7 +210,7 @@ def naive_tail_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
     model = ctx.model
     probs = model.default_probs(ctx.law.sample(rng, size))
     defaults = rng.binomial(model.counts, probs)
-    return model.exceeds(defaults @ np.asarray(model.exposures)).astype(float)
+    return model.exceeds(defaults @ model.exposures).astype(float)
 
 
 def is_sample_v(ctx: RunContext, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +258,7 @@ def _is_loss_and_weight(ctx: RunContext, rng: RngStream, size: int) -> np.ndarra
     probs = model.default_probs(v)
     theta, twisted = _solve_twist(model.counts, model.exposures, probs, model.nb)
     d = rng.binomial(model.counts, twisted)
-    n, c = np.asarray(model.counts), np.asarray(model.exposures)
+    n, c = model.counts, model.exposures
     # log(p/pt) = log D and log((1-p)/(1-pt)) = theta c + log D
     # with D = p + (1-p) exp(-theta c); exact also at p = 1
     tc = theta[:, None] * c
@@ -288,14 +289,14 @@ def _tipping_times(model: LossModel, rng: RngStream, size: int) -> np.ndarray:
     """Per row, the mixing-variable-scale time of the default that tips the
     loss above n*b; the (size, n) draw is freed before the survival call."""
     o = rng.standard_exponential((size, model.n))
-    o /= np.repeat(model.phis, model.counts)
+    o /= model.obligor_phis
     if model.k is not None:
         o.partition(model.k - 1, axis=1)
         return o[:, model.k - 1].copy()
     order = np.argsort(o, axis=1, kind="stable")
-    cum = np.cumsum(np.repeat(model.exposures, model.counts)[order], axis=1)
+    cum = np.cumsum(model.obligor_exposures[order], axis=1)
     # first default after which the loss event holds
-    idx = np.count_nonzero(cum <= model.nb + LOSS_EPS, axis=1)
+    idx = np.count_nonzero(~model.exceeds(cum), axis=1)
     if idx.max() >= model.n:
         raise ValueError(f"loss level unattainable: n*b={model.nb} >= total exposure")
     rows = np.arange(size)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,12 @@ from .stable import LOG_V_MAX
 
 LOSS_EPS = 1e-9  # "loss exceeds n*b" means loss > n*b + LOSS_EPS; snaps integer boundaries
 _VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar
+
+
+def _read_only(values, dtype=float) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -35,8 +42,8 @@ class SubPortfolio:
             raise ValueError(f"exposure must be positive, got {self.exposure}")
         if not self.pd_scale > 0.0:
             raise ValueError(f"pd_scale must be positive, got {self.pd_scale}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        if self.count < 1 or not float(self.count).is_integer():
+            raise ValueError(f"count must be an integer >= 1, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -49,42 +56,36 @@ class Portfolio:
             raise ValueError("portfolio needs at least one group")
         object.__setattr__(self, "groups", groups)
 
-    @property
-    def n(self) -> int:
-        return sum(g.count for g in self.groups)
+    # each group column is built once and read-only: every model and run shares it
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return _read_only([g.count for g in self.groups], int)
 
-    @property
+    @cached_property
+    def exposures(self) -> np.ndarray:
+        return _read_only([g.exposure for g in self.groups])
+
+    @cached_property
+    def pd_scales(self) -> np.ndarray:
+        return _read_only([g.pd_scale for g in self.groups])
+
+    @cached_property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """Group weights n_j / n, the finite-n group proportions."""
-        n = self.n
-        return np.array([g.count / n for g in self.groups])
+        return _read_only(self.counts / self.n)
 
-    @property
-    def exposures(self) -> np.ndarray:
-        return np.array([g.exposure for g in self.groups])
-
-    @property
-    def pd_scales(self) -> np.ndarray:
-        return np.array([g.pd_scale for g in self.groups])
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([g.count for g in self.groups])
-
-    @property
+    @cached_property
     def mean_exposure(self) -> float:
         """Average loss per obligor if every obligor defaults."""
         return float(np.dot(self.exposures, self.weights))
 
-    @property
+    @cached_property
     def total_exposure(self) -> float:
         return float(np.dot(self.exposures, self.counts))
-
-    @property
-    def homogeneous_exposure(self) -> float | None:
-        """Common per-obligor exposure, or None if exposures differ."""
-        c = self.groups[0].exposure
-        return c if all(g.exposure == c for g in self.groups) else None
 
     @staticmethod
     def homogeneous(n: int, exposure: float = 1.0, pd_scale: float = 1.0) -> "Portfolio":
@@ -171,9 +172,9 @@ class LossModel:
         self.gen = GumbelGenerator(alpha)
         self.n = pf.n
         self.nb = pf.n * b
-        self.counts = tuple(int(g.count) for g in pf.groups)
-        self.exposures = tuple(float(g.exposure) for g in pf.groups)
-        self.phis = tuple(self.gen.phi_one_minus(g.pd_scale * self.f_n) for g in pf.groups)
+        self.counts = pf.counts
+        self.exposures = pf.exposures
+        self.phis = _read_only([self.gen.phi_one_minus(pd * self.f_n) for pd in pf.pd_scales])
         # p_j(V) = 1 - exp(-V phi_j) rounds to 1 once V phi_j >= 40; below this
         # bound not even the largest draw, exp(LOG_V_MAX), makes a default certain
         if min(self.phis) * math.exp(LOG_V_MAX) < 40.0:
@@ -181,7 +182,19 @@ class LossModel:
                 f"smallest phi(1 - l_j f_n) = {min(self.phis):g} underflows: no mixing draw "
                 f"makes a default certain (alpha={alpha}, f_n={self.f_n:g})"
             )
-        self.k = threshold_index(pf, b)
+        if not self.exceeds(pf.total_exposure):
+            raise ValueError(
+                f"loss level unattainable: n*b={self.nb} >= total exposure {pf.total_exposure}"
+            )
+        # per-obligor columns, in group order
+        self.obligor_phis = _read_only(np.repeat(self.phis, self.counts))
+        self.obligor_exposures = _read_only(np.repeat(self.exposures, self.counts))
+        # the index of the default that tips the loss into the event: a
+        # constant only when exposures are equal, else found per replication
+        self.k = None
+        c = self.exposures[0]
+        if (self.exposures == c).all():
+            self.k = int(np.count_nonzero(~self.exceeds(np.arange(1, self.n + 1) * c))) + 1
 
     def default_probs(self, v) -> np.ndarray:
         """p_j(v) for every group, along a new last axis of v's shape;
@@ -235,24 +248,3 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     raise NumericalError(
         f"bisection for v* at b={b} did not converge in {_VSTAR_STEPS} steps", achieved=abs(r - b)
     )
-
-
-def threshold_index(pf: Portfolio, b: float) -> int | None:
-    """Smallest default count whose cumulative exposure strictly exceeds n*b.
-
-    A constant only for equal-exposure portfolios, where any default order
-    accumulates the same exposure.  For mixed exposures it returns None: the
-    index depends on the realized default order and is found per replication
-    inside the conditional Monte Carlo estimator.
-    """
-    nb = pf.n * b
-    if b < 0.0:
-        raise ValueError(f"loss level must be nonnegative, got {b}")
-    if nb >= pf.total_exposure - LOSS_EPS:
-        raise ValueError(
-            f"loss level unattainable: n*b={nb} >= total exposure {pf.total_exposure}"
-        )
-    c = pf.homogeneous_exposure
-    if c is None:
-        return None
-    return max(int(math.floor(nb / c + LOSS_EPS)) + 1, 1)

@@ -55,6 +55,7 @@ _LOG2 = math.log(2.0)
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-11
 _LOG_TINY = -745.0  # exp underflows below this
+_LOG_SATURATED = math.log(-_LOG_TINY)  # exp(-z) underflows once log z exceeds this
 _CHUNK = 64  # points per series evaluation; bounds the (points, terms) temporaries
 LOG_V_MAX = 700.0  # sampled log V is clamped here, clear of exp overflow at about 709.8
 
@@ -281,15 +282,16 @@ class PositiveStableLaw:
         from scipy.integrate import quad
 
         beta = self.beta
-        lam = x ** (-beta / (1.0 - beta))
-        if not math.isfinite(lam):
+        # lam * a(theta) is handled through its log: near beta = 1 both lam
+        # and a(theta) overflow where their product does not
+        log_lam = -beta / (1.0 - beta) * math.log(x)
+        if log_lam + math.log(_kernel_min(beta)) > _LOG_SATURATED:
             # x so small that the density/cdf vanish below any tolerance
             return 0.0 if kind == "pdf" else 1.0
+        lam = math.exp(log_lam)
         if lam == 0.0:
             # x beyond the far tail; both density and survival are below tolerance
             return 0.0
-        if lam * _kernel_min(beta) > -_LOG_TINY:
-            return 0.0 if kind == "pdf" else 1.0
         peak = _peak_theta(lam, beta)
 
         if kind == "pdf":
@@ -301,7 +303,10 @@ class PositiveStableLaw:
                 if theta <= 0.0 or theta >= math.pi:
                     return 0.0
                 la = float(_log_kernel(theta, beta))
-                e = log_pref + la - lam * math.exp(la)
+                log_z = log_lam + la
+                if log_z > _LOG_SATURATED:
+                    return 0.0
+                e = log_pref + la - math.exp(log_z)
                 return math.exp(e) if e > _LOG_TINY else 0.0
 
         else:
@@ -311,8 +316,10 @@ class PositiveStableLaw:
                     return -math.expm1(-lam * _kernel_min(beta)) / math.pi
                 if theta >= math.pi:
                     return 1.0 / math.pi
-                z = lam * math.exp(float(_log_kernel(theta, beta)))
-                return (-math.expm1(-z) if z < -_LOG_TINY else 1.0) / math.pi
+                log_z = log_lam + float(_log_kernel(theta, beta))
+                if log_z > _LOG_SATURATED:
+                    return 1.0 / math.pi
+                return -math.expm1(-math.exp(log_z)) / math.pi
 
         val, abserr = 0.0, 0.0
         for lo, hi in ((0.0, peak), (peak, math.pi)):

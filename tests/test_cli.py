@@ -247,6 +247,15 @@ class TestEsCommand:
         assert rows[0]["estimate"] == ""
         assert "increase m" in err
 
+    def test_index_near_one_row_ends_in_a_value_or_exit_3(self, capsys):
+        # the splice evaluates the stable law's quadrature at beta = 1/1.001
+        code, out, _ = run_cli(
+            capsys, "estimate", "--method", "importance", "--alpha", "1.001", "--n", "50",
+            "--b", "0.3", "--m", "500", "--seed", "1",
+        )
+        assert code in (0, 3)
+        assert len(parse_csv(out)) == 1
+
 
 class TestOutputContracts:
     def test_csv_round_trips_at_full_precision(self, capsys):

@@ -366,6 +366,20 @@ class TestConditionalRep:
         gap = abs(naive.estimate - cond.estimate)
         assert gap <= 4.0 * math.hypot(naive.std_error, cond.std_error)
 
+    def test_large_exposures_share_the_loss_event(self):
+        # n*b is 5 below 3c: the conditional estimator must tip at the third
+        # default, where exceeds() puts the event for naive and importance too
+        c = 1e10
+        base = dict(portfolio=Portfolio.homogeneous(4, exposure=c, pd_scale=1.0), alpha=1.5,
+                    scale=DefaultScale.reciprocal(), b=(3 * c - 5) / 4)
+        m = 40_000
+        reps = [run_tail_estimate(config(base=base, kind=kind, m=m, seed=seed))
+                for kind, seed in (("naive", 51), ("importance", 52), ("conditional", 53))]
+        for i, a in enumerate(reps):
+            for b in reps[i + 1:]:
+                gap = abs(a.estimate - b.estimate)
+                assert gap <= 4.0 * math.hypot(a.std_error, b.std_error)
+
     def test_fast_scale_decay_warns(self):
         pf = Portfolio.homogeneous(100, pd_scale=0.5)
         cfg = EstimatorConfig(

@@ -15,7 +15,6 @@ from archcredit import (
     SubPortfolio,
     limiting_mean_loss,
     solve_vstar,
-    threshold_index,
 )
 
 
@@ -39,6 +38,8 @@ class TestTypes:
             SubPortfolio(1.0, -0.1, 10)
         with pytest.raises(ValueError):
             SubPortfolio(1.0, 0.5, 0)
+        with pytest.raises(ValueError, match="integer"):
+            SubPortfolio(1.0, 0.5, 2.5)  # the int count column would truncate it
 
     def test_empty_portfolio(self):
         with pytest.raises(ValueError):
@@ -49,7 +50,18 @@ class TestTypes:
         np.testing.assert_allclose(two_group.weights, [0.6, 0.4])
         assert two_group.mean_exposure == pytest.approx(0.6 * 1.0 + 0.4 * 2.0)
         assert two_group.total_exposure == pytest.approx(300 + 400)
-        assert two_group.homogeneous_exposure is None
+
+    def test_group_arrays_are_shared_and_read_only(self, two_group):
+        assert type(two_group.n) is int
+        assert two_group.counts.dtype.kind == "i" and two_group.exposures.dtype == np.float64
+        assert two_group.exposures is two_group.exposures
+        model = LossModel(two_group, 1.5, DefaultScale.reciprocal(), 0.8)
+        assert model.exposures is two_group.exposures
+        arrays = (two_group.counts, two_group.exposures, two_group.pd_scales, two_group.weights,
+                  model.phis, model.obligor_phis, model.obligor_exposures)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
     def test_scale_kinds(self):
         assert DefaultScale.reciprocal().resolve(500) == pytest.approx(1 / 500)
@@ -183,26 +195,43 @@ class TestSolveVstar:
             solve_vstar(homog, 1.5, 0.0)
 
 
+def model_k(pf, b):
+    return LossModel(pf, 1.5, DefaultScale.reciprocal(), b).k
+
+
 class TestThresholdIndex:
     def test_strict_exceedance_at_integer_boundary(self, homog):
         # 400 defaults lose exactly n*b; the event needs strictly more
-        assert threshold_index(homog, 0.8) == 401
+        assert model_k(homog, 0.8) == 401
 
     def test_small_portfolio(self):
         pf = Portfolio.homogeneous(100)
-        assert threshold_index(pf, 0.3) == 31
+        assert model_k(pf, 0.3) == 31
 
     def test_non_integer_boundary_matches_ceiling(self):
         pf = Portfolio.homogeneous(100)
-        assert threshold_index(pf, 0.305) == 31  # ceil(30.5)
+        assert model_k(pf, 0.305) == 31  # ceil(30.5)
 
     def test_zero_level(self, homog):
-        assert threshold_index(homog, 0.0) == 1
+        # b = 0 is not a model; the least level it takes tips at the first default
+        with pytest.raises(ValueError, match="loss level"):
+            model_k(homog, 0.0)
+        assert model_k(homog, 1e-12) == 1
 
     def test_unattainable(self, homog):
+        # below the mean exposure, yet n*b sits within the event's snap of the total
         with pytest.raises(ValueError, match="unattainable"):
-            threshold_index(homog, 1.0)
+            model_k(homog, 1.0 - 1e-13)
 
     def test_heterogeneous_exposures_deferred(self, two_group):
         # mixed exposures: the index is found per replication
-        assert threshold_index(two_group, 0.5) is None
+        assert model_k(two_group, 0.5) is None
+
+    def test_large_exposures_snap_in_loss_units(self):
+        # n*b is 5 below 3c: three defaults exceed it, as exceeds() says;
+        # snapping n*b/c by the loss tolerance would wrongly ask for four
+        c = 1e10
+        pf = Portfolio.homogeneous(4, exposure=c, pd_scale=1.0)
+        model = LossModel(pf, 1.5, DefaultScale.reciprocal(), (3 * c - 5) / 4)
+        assert model.exceeds(3 * c) and not model.exceeds(2 * c)
+        assert model.k == 3

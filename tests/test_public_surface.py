@@ -16,7 +16,7 @@ PUBLIC = [
     "expected_shortfall_asymptotic", "homogeneous_shortfall_asymptotic",
     "homogeneous_tail_asymptotic", "is_expected_shortfall", "is_sample_v", "is_tail_block",
     "limiting_mean_loss", "naive_tail_block", "replicate", "run_tail_estimate", "solve_vstar",
-    "tail_probability_asymptotic", "threshold_index",
+    "tail_probability_asymptotic",
 ]
 
 

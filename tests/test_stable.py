@@ -85,6 +85,20 @@ class TestShapeInvariants:
             deriv = -(law.sf(x + h) - law.sf(x - h)) / (2.0 * h)
             assert deriv == pytest.approx(p, rel=1e-5)
 
+    def test_quadrature_near_index_one(self):
+        # at beta = 1/1.001, lam = x**(-1000) and the kernel overflow a float
+        # where their product does not: every point gives a value, no
+        # OverflowError, and the density still matches the survival slope
+        law = PositiveStableLaw(1 / 1.001)
+        xs = np.geomspace(0.5, 3.0, 60)
+        sf, pdf = law.sf(xs), law.pdf(xs)
+        assert np.all(sf >= 0.0) and np.all(sf <= 1.0) and np.all(np.diff(sf) <= 1e-12)
+        assert np.all(pdf >= 0.0)
+        for x in (1.0, 1.5, 3.0):
+            h = 1e-6 * x  # the density peaks sharply at 1
+            deriv = -(law.sf(x + h) - law.sf(x - h)) / (2.0 * h)
+            assert deriv == pytest.approx(law.pdf(x), rel=1e-6)
+
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
     def test_tail_series_self_consistency(self, beta):
         # far enough out, the density is the leading power-law term; the
