@@ -3,8 +3,8 @@ shortfall: naive simulation, a two-step importance sampler, and a conditional
 Monte Carlo estimator that integrates the systemic factor out analytically.
 
 The importance sampler re-weights in two stages: the mixing variable V is
-drawn from a spliced density that keeps the body of the stable law but swaps
-in a Pareto tail at a splice point x0, and the conditional default
+drawn from the stable law and each draw above a splice point x0 is replaced by
+a Pareto draw (a spliced density), and the conditional default
 probabilities are exponentially twisted so the mean loss under the proposal
 sits exactly at the target level.  Each replication returns an unbiased
 weighted indicator.  Conditional Monte Carlo instead draws only the obligor
@@ -36,7 +36,6 @@ from .rng import RngStream
 from .stable import PositiveStableLaw
 
 B = 64  # replications per block; block j draws from RngStream(seed).substream(j)
-_REJECTION_CAP = 10**6  # rejection rounds allowed to fill the body draws of one block
 _TWIST_STEPS = 200  # cap on the bracket doublings and on the Newton steps of the twist solve
 
 
@@ -103,7 +102,6 @@ class RunContext:
         if config.kind == "importance":
             self.eta = -1.0 / math.log(model.gen.phi_one_minus(model.f_n))
             self.sf_x0 = self.law.sf(config.x0)
-            self.cdf_x0 = 1.0 - self.sf_x0
             self.log_tail_norm = (
                 math.log(self.sf_x0 * self.eta) + self.eta * math.log(config.x0)
                 if self.sf_x0 > 0.0
@@ -217,29 +215,14 @@ def is_sample_v(ctx: RunContext, rng: RngStream, size: int) -> tuple[np.ndarray,
     """Draw ``size`` mixing variables from the spliced proposal density, with
     their likelihood factors.
 
-    Below the splice point x0 the stable law itself is used (rejection
-    against the unconditional sampler; each round draws as many values as
-    are expected to fill the unfilled replications, at most B per
-    replication) and the factor is 1; above it a Pareto tail is drawn and the
-    factor is the density ratio.
+    By composition: a stable draw falls below the splice point x0 with the
+    body's mass and law, so it is kept (factor 1); a draw at or above x0 is
+    replaced by a Pareto draw (factor: the density ratio).  A block draws
+    ``size`` stable values, then one uniform per tail replication.
     """
     x0 = ctx.config.x0
-    body = rng.uniform(size=size) < ctx.cdf_x0
-    v = np.empty(size)
-    slots = np.flatnonzero(body)
-    for _ in range(_REJECTION_CAP):
-        if not slots.size:
-            break
-        draws = ctx.law.sample(rng, math.ceil(slots.size / max(ctx.cdf_x0, 1.0 / B)))
-        draws = draws[draws < x0][: slots.size]
-        v[slots[: draws.size]] = draws
-        slots = slots[draws.size :]
-    if slots.size:
-        raise NumericalError(
-            f"rejection sampling below x0={x0} exceeded {_REJECTION_CAP} rounds; "
-            "the splice point is too far into the left tail"
-        )
-    tail = ~body
+    v = ctx.law.sample(rng, size)
+    tail = v >= x0
     u = 1.0 - rng.uniform(size=int(tail.sum()))  # in (0, 1]
     v[tail] = x0 * u ** (-1.0 / ctx.eta)
     num = ctx.law.pdf(v[tail])

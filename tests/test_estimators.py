@@ -237,13 +237,19 @@ class TestSpliceSampler:
         z = (lrs.mean() - 1.0) / (lrs.std(ddof=1) / math.sqrt(n))
         assert abs(z) <= 4.0
 
-    def test_rejection_cap_error(self, monkeypatch):
-        # force the body branch while making acceptance below x0 hopeless
-        ctx = RunContext(config(kind="importance", x0=1e-3))
-        ctx.cdf_x0 = 1.0
-        monkeypatch.setattr(est_mod, "_REJECTION_CAP", 50)
-        with pytest.raises(NumericalError, match="splice"):
-            is_sample_v(ctx, RngStream(3), 4)
+    def test_proposal_law_is_the_spliced_cdf(self):
+        # F below x0; F(x0) plus the Pareto share of the tail mass sf(x0) above it
+        ctx = RunContext(config(kind="importance", x0=1.0))
+        x0, law, n = ctx.config.x0, ctx.law, 200_000
+        v = np.sort(is_sample_v(ctx, RngStream(45), n)[0])
+        t = np.array([0.2, 0.35, 0.5, 0.75, 0.9, 1.0, 1.5, 10.0, 1e3, 1e6])
+        body = np.minimum(t, x0)
+        spliced = 1.0 - law.sf(body) + np.where(
+            t >= x0, law.sf(x0) * (1.0 - (x0 / t) ** ctx.eta), 0.0
+        )
+        empirical = np.searchsorted(v, t, side="right") / n
+        sigma = np.sqrt(spliced * (1.0 - spliced) / n)
+        assert np.all(np.abs(empirical - spliced) <= 4.0 * sigma)
 
     def test_scale_too_large_for_splice(self):
         # phi(1 - f_n) >= 1 leaves the Pareto shape undefined
