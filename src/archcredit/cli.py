@@ -17,15 +17,17 @@ given, keeping re-runs with the same seed byte-identical.
 Every command (``estimate``, ``es``, ``asymptotic`` and the ``table``
 presets) plans one row per (alpha, n, b, method) of its grid, a Monte Carlo
 row i with seed ``seed + i``, and then computes the rows in order.  A bad
-configuration fails at planning time (exit 2) before any row runs; a row whose
-computation fails leaves the value fields it could not compute empty, and the
-other rows are still emitted (exit 3).  Each setting is declared once, in
-``_OPTIONS``: its config key, its flag and the ``Settings`` attributes it sets.
+configuration, an output file that cannot be opened included, fails before any
+row runs (exit 2); a row whose computation fails leaves the value fields it
+could not compute empty, and the other rows are still emitted (exit 3).  Each
+setting is declared once, in ``_OPTIONS``: its config key, its flag, the
+converter that checks its config value and the ``Settings`` attributes it sets.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -114,8 +116,9 @@ def _portfolio(settings: Settings, n: int | None) -> Portfolio:
             if extra:
                 raise ConfigError(f"unknown group keys: {sorted(extra)}")
             try:
-                groups.append(SubPortfolio(g["exposure"], g["pd_scale"], g["count"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                groups.append(SubPortfolio(_real(g["exposure"]), _real(g["pd_scale"]),
+                                           _whole(g["count"])))
+            except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad group {g}: {exc}") from exc
         return Portfolio(groups)
     return Portfolio.homogeneous(n, exposure=settings.c, pd_scale=settings.l)
@@ -129,12 +132,43 @@ def _scale(settings: Settings) -> DefaultScale:
     return DefaultScale(settings.scale_kind.replace("-", "_"))
 
 
+# converters of config values: each checks the JSON type and never coerces
+def _whole(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not float(x).is_integer():
+        raise ConfigError(f"expected a whole number, got {x!r}")
+    return int(x)
+
+
+def _real(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _flag(x) -> bool:
+    if not isinstance(x, bool):
+        raise ConfigError(f"expected true or false, got {x!r}")
+    return x
+
+
+def _text(x) -> str:
+    if not isinstance(x, str):
+        raise ConfigError(f"expected a string, got {x!r}")
+    return x
+
+
+def _groups(x) -> list[dict]:
+    if not isinstance(x, list) or not all(isinstance(g, dict) for g in x):
+        raise ConfigError(f"expected a list of group objects, got {x!r}")
+    return x
+
+
 def _listed(convert):
     return lambda x: [convert(v) for v in (x if isinstance(x, list) else [x])]
 
 
 def _methods(raw) -> list[str]:
-    methods = [str(x) for x in raw]
+    methods = _listed(_text)(raw)
     if not methods:
         raise ConfigError("estimator set is empty; pass at least one --method")
     unknown = [x for x in methods if x not in _KINDS]
@@ -145,11 +179,11 @@ def _methods(raw) -> list[str]:
 
 def _scale_entry(sc) -> tuple[str, float | None]:
     if not isinstance(sc, dict) or "kind" not in sc or set(sc) - {"kind", "value"}:
-        raise ConfigError('config "scale" must be {"kind": ..., "value"?: ...}')
-    kind = str(sc["kind"]).replace("_", "-")
+        raise ConfigError('expected {"kind": ..., "value"?: ...}')
+    kind = _text(sc["kind"]).replace("_", "-")
     if kind not in _SCALE_KINDS:
         raise ConfigError(f"unknown scale kind {sc['kind']!r}")
-    return kind, float(sc["value"]) if "value" in sc else None
+    return kind, _real(sc["value"]) if "value" in sc else None
 
 
 def _opt(key, attrs, convert, *flags, commands=None, **options) -> SimpleNamespace:
@@ -166,32 +200,32 @@ def _opt(key, attrs, convert, *flags, commands=None, **options) -> SimpleNamespa
 # every setting, in the order of the flags in --help
 _OPTIONS = (
     _opt(None, None, None, "--config", help="JSON config file; flags override its entries"),
-    _opt("alpha", "alpha", float, "--alpha", type=float, help="copula tail-dependence index (> 1)"),
-    _opt("n", "n", _listed(int), "--n", type=int, action="append",
+    _opt("alpha", "alpha", _real, "--alpha", type=float, help="copula tail-dependence index (> 1)"),
+    _opt("n", "n", _listed(_whole), "--n", type=int, action="append",
          help="portfolio size (repeatable)"),
-    _opt("l", "l", float, "--l", type=float, help="default-probability multiplier per obligor"),
-    _opt("c", "c", float, "--c", type=float, help="exposure at default per obligor"),
+    _opt("l", "l", _real, "--l", type=float, help="default-probability multiplier per obligor"),
+    _opt("c", "c", _real, "--c", type=float, help="exposure at default per obligor"),
     _opt("scale", ("scale_kind", "scale_value"), _scale_entry, "--scale", choices=_SCALE_KINDS,
          help="default-probability scale rule f_n"),
     _opt(None, "scale_value", None, "--f", type=float, metavar="F",
          help="value for the constant scale"),
-    _opt("b", "b", _listed(float), "--b", type=float, action="append",
+    _opt("b", "b", _listed(_real), "--b", type=float, action="append",
          help="loss level (repeatable)"),
     _opt("methods", "methods", _methods, "--method", commands=("estimate",), action="append",
          choices=_KINDS,
          help="estimator to run (repeatable; default: importance and conditional)"),
-    _opt("m", "m", int, "--m", type=int, help="number of replications"),
-    _opt("seed", "seed", int, "--seed", type=int, help="base seed; row i uses seed + i"),
-    _opt("x0", "x0", float, "--x0", type=float, help="importance-sampling tail splice point"),
-    _opt("format", "fmt", str, "--format", choices=["csv", "markdown"], help="output format"),
-    _opt("output", "output", str, "--output", "-o", help="output path (default: stdout)"),
-    _opt("timings", "timings", bool, "--timings", action="store_true",
+    _opt("m", "m", _whole, "--m", type=int, help="number of replications"),
+    _opt("seed", "seed", _whole, "--seed", type=int, help="base seed; row i uses seed + i"),
+    _opt("x0", "x0", _real, "--x0", type=float, help="importance-sampling tail splice point"),
+    _opt("format", "fmt", _text, "--format", choices=["csv", "markdown"], help="output format"),
+    _opt("output", "output", _text, "--output", "-o", help="output path (default: stdout)"),
+    _opt("timings", "timings", _flag, "--timings", action="store_true",
          help="fill the runtime_ms column"),
     _opt(None, None, None, "--es", commands=("asymptotic",), action="store_true",
          help="also emit shortfall asymptotics"),
-    _opt("asymptotic", "asymptotic", bool, "--asymptotic", commands=("estimate",),
+    _opt("asymptotic", "asymptotic", _flag, "--asymptotic", commands=("estimate",),
          action="store_true", help="include the deterministic asymptotic column"),
-    _opt("groups", "groups", list),
+    _opt("groups", "groups", _groups),
 )
 
 
@@ -212,7 +246,11 @@ def _load_config_file(path: str, settings: Settings) -> set[str]:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     given = set()
     for key, value in raw.items():
-        attrs, value = options[key].attrs, options[key].convert(value)
+        attrs = options[key].attrs
+        try:
+            value = options[key].convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
         if not isinstance(attrs, tuple):
             attrs, value = (attrs,), (value,)
         for attr, part in zip(attrs, value):
@@ -363,16 +401,15 @@ def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[dict], bool]:
     return rows, failed
 
 
-def _emit(rows: list[dict], settings: Settings) -> None:
-    if settings.fmt == "csv":
-        text = _render_csv(rows)
-    else:
-        text = _render_markdown(rows)
-    if settings.output:
-        with open(settings.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(settings: Settings):
+    """The output stream, opened before any row runs: a path that cannot be
+    written is a ConfigError rather than an error after the last row."""
+    if not settings.output:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(settings.output, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {settings.output}: {exc}") from exc
 
 
 def _render_csv(rows: list[dict]) -> str:
@@ -429,11 +466,13 @@ def main(argv=None) -> int:
     try:
         settings, given = _apply_flags(args, Settings())
         tasks = _plan(settings, command, given)
+        sink = _open_output(settings)
     except ValueError as exc:  # a ConfigError or a check of the model inputs
         _log(f"configuration error: {exc}")
         return 2
-    rows, failed = _execute(tasks, settings)
-    _emit(rows, settings)
+    with sink as out:
+        rows, failed = _execute(tasks, settings)
+        out.write((_render_csv if settings.fmt == "csv" else _render_markdown)(rows))
     return 3 if failed else 0
 
 

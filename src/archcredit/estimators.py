@@ -57,8 +57,8 @@ class EstimatorConfig:
             raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {_KINDS}")
         if self.m < 2:
             raise ValueError(f"need at least 2 replications, got {self.m}")
-        if not self.x0 > 0.0:
-            raise ValueError(f"splice point x0 must be positive, got {self.x0}")
+        if not 0.0 < self.x0 < math.inf:
+            raise ValueError(f"splice point x0 must be positive and finite, got {self.x0}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         model = self.model

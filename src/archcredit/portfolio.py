@@ -38,10 +38,10 @@ class SubPortfolio:
     count: int
 
     def __post_init__(self):
-        if not self.exposure > 0.0:
-            raise ValueError(f"exposure must be positive, got {self.exposure}")
-        if not self.pd_scale > 0.0:
-            raise ValueError(f"pd_scale must be positive, got {self.pd_scale}")
+        if not 0.0 < self.exposure < math.inf:
+            raise ValueError(f"exposure must be positive and finite, got {self.exposure}")
+        if not 0.0 < self.pd_scale < math.inf:
+            raise ValueError(f"pd_scale must be positive and finite, got {self.pd_scale}")
         if self.count < 1 or not float(self.count).is_integer():
             raise ValueError(f"count must be an integer >= 1, got {self.count}")
 
@@ -149,9 +149,9 @@ class DefaultScale:
 
 
 def check_model(pf: Portfolio, alpha: float, scale: DefaultScale, b: float) -> float:
-    """Validate alpha > 1 and 0 < b < mean exposure; return f_n resolved against pf."""
-    if not alpha > 1.0:
-        raise ValueError(f"tail index must exceed 1, got {alpha}")
+    """Validate 1 < alpha < inf and 0 < b < mean exposure; return f_n resolved against pf."""
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"tail index must be finite and exceed 1, got {alpha}")
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
         raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")

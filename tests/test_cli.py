@@ -178,6 +178,33 @@ class TestEstimateCommand:
         assert [r["estimate"] == "" for r in parse_csv(out)] == [True, False]
         assert "injected failure" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("m", 300.9), ("m", True), ("seed", 1.7), ("seed", False), ("n", [100, 100.4]),
+        ("n", True), ("timings", "false"), ("asymptotic", "no"), ("asymptotic", 1),
+    ])
+    def test_config_value_of_the_wrong_type_rejected(self, capsys, tmp_path, key, value):
+        # each used to be coerced: m = 300, seed 1, a repeated n = 100 row, a
+        # filled runtime_ms column, an asymptotic column (exit 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "estimate", "--method", "conditional", "--m", "20",
+                                 "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["estimate", "--c", "inf", "--method", "conditional", "--method", "importance",
+          "--asymptotic", "--m", "200"], "exposure"),
+        (["asymptotic", "--c", "inf", "--n", "100", "--b", "0.8", "--es"], "exposure"),
+        (["estimate", "--l", "inf", "--m", "100"], "pd_scale"),
+        (["estimate", "--method", "importance", "--x0", "inf", "--m", "100"], "x0"),
+        (["asymptotic", "--alpha", "inf"], "tail index"),
+    ])
+    def test_non_finite_model_input_is_config_error(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert what in err and "finite" in err
+
     def test_config_file_with_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -289,6 +316,14 @@ class TestOutputContracts:
         assert main(args + ["--output", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_unwritable_output_fails_before_any_row(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "estimate", "--m", "20", "--method", "conditional",
+                                 "--output", str(target))
+        assert (code, out) == (2, "")
+        assert "output" in err and "running" not in err
+        assert not target.exists()
 
     def test_timings_column_filled_on_request(self, capsys):
         code, out, _ = run_cli(
