@@ -151,12 +151,14 @@ def _solve_twist(counts, exposures, probs: np.ndarray, nb: float):
 
 
 def _twist_newton(p: np.ndarray, nc: np.ndarray, c: np.ndarray, nb: float) -> np.ndarray:
-    """theta > 0 with twisted mean loss n*b for every row of p.
+    """theta >= 0 with twisted mean loss n*b for every row of p.
 
     Bracket doubling, then safeguarded Newton steps; a row stops once its
     mean loss is within 1e-9 * n*b, and every row ends with the Newton step
-    from its last point when that step stays inside the bracket, which puts
-    theta at the root to rounding at no extra evaluation.
+    from its last point, held inside the bracket, which puts theta at the
+    root to rounding at no extra evaluation.  A step that rounding carries
+    past a bracket end lands nearer the root than that step did: a row whose
+    untwisted mean sits below n*b by rounding alone gets theta = 0.
     """
     live = p > 0.0
 
@@ -187,9 +189,9 @@ def _twist_newton(p: np.ndarray, nc: np.ndarray, c: np.ndarray, nb: float) -> np
         # Newton step on the strictly increasing mean, bisection as fallback
         with np.errstate(divide="ignore", invalid="ignore"):
             step = theta - g / slope
-        newton = (slope > 0.0) & (lo < step) & (step < hi)
         if not active.any():
-            return np.where(newton, step, theta)
+            return np.where(slope > 0.0, np.clip(step, lo, hi), theta)
+        newton = (slope > 0.0) & (lo < step) & (step < hi)
         theta = np.where(active, np.where(newton, step, 0.5 * (lo + hi)), theta)
     raise NumericalError(
         f"twist solve for n*b={nb} did not converge in {_TWIST_STEPS} steps",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -181,6 +181,12 @@ class TestTwistProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(twist_problems())
+    # a row whose untwisted mean sits 4e-16 below n*b: the root is at 0 to
+    # rounding, and the last Newton step lands just below the bracket
+    @example((
+        (1, 1), (0.5117755851281873, 4.314594893293652),
+        np.array([[0.5, 0.5], [0.4570129379084901, 0.4570129379084901]]), 2.20571375177837,
+    ))
     def test_matches_oracle_row_by_row(self, problem):
         counts, exposures, probs, nb = problem
         theta, twisted = est_mod._solve_twist(counts, exposures, probs, nb)
