@@ -17,10 +17,10 @@ import numpy as np
 
 from .archimedean import GumbelGenerator
 from .errors import NumericalError
-from .stable import LOG_V_MAX
 
 LOSS_EPS = 1e-9  # "loss exceeds n*b" means loss > n*b + LOSS_EPS; snaps integer boundaries
 _VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar
+_LOG_V_CERTAIN = 700.0  # some default must be certain at V = exp(this); see LossModel
 
 
 def _read_only(values, dtype=float) -> np.ndarray:
@@ -175,9 +175,10 @@ class LossModel:
         self.counts = pf.counts
         self.exposures = pf.exposures
         self.phis = _read_only([self.gen.phi_one_minus(pd * self.f_n) for pd in pf.pd_scales])
-        # p_j(V) = 1 - exp(-V phi_j) rounds to 1 once V phi_j >= 40; below this
-        # bound not even the largest draw, exp(LOG_V_MAX), makes a default certain
-        if min(self.phis) * math.exp(LOG_V_MAX) < 40.0:
+        # p_j(V) = 1 - exp(-V phi_j) rounds to 1 once V phi_j >= 40; a phi_j so
+        # small that this takes V beyond exp(_LOG_V_CERTAIN), near the float
+        # range, has underflowed in all but name
+        if min(self.phis) * math.exp(_LOG_V_CERTAIN) < 40.0:
             raise ValueError(
                 f"smallest phi(1 - l_j f_n) = {min(self.phis):g} underflows: no mixing draw "
                 f"makes a default certain (alpha={alpha}, f_n={self.f_n:g})"

@@ -3,8 +3,9 @@
 This is the mixing distribution behind the Gumbel copula: the positive random
 variable V with Laplace transform ``E[exp(-s V)] = exp(-s**beta)`` for a
 stability index ``beta`` in (0, 1).  The module provides exact sampling via
-the Kanter transform plus density and survival evaluation, which have no
-closed form for general ``beta``.
+the Kanter transform, in which a draw past the float range is +inf, plus
+density and survival evaluation, which have no closed form for general
+``beta``.
 
 Evaluation strategy
 -------------------
@@ -57,7 +58,6 @@ _REL_TOL = 1e-11
 _LOG_TINY = -745.0  # exp underflows below this
 _LOG_SATURATED = math.log(-_LOG_TINY)  # exp(-z) underflows once log z exceeds this
 _CHUNK = 64  # points per series evaluation; bounds the (points, terms) temporaries
-LOG_V_MAX = 700.0  # sampled log V is clamped here, clear of exp overflow at about 709.8
 
 
 def _log_kernel(theta, beta: float):
@@ -209,26 +209,16 @@ class PositiveStableLaw:
         """Draw ``size`` values from the law by the Kanter transform.
 
         V = (a(Theta) / W) ** ((1 - beta) / beta) with Theta uniform on
-        (0, pi) and W standard exponential; one exact draw per pair.
+        (0, pi) and W standard exponential; one exact draw per pair.  At
+        Theta = 0 the kernel takes its limit a(0+); a draw past the float
+        range is +inf, the exact limit as W -> 0.
         """
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            need = size - filled
-            theta = rng.uniform(0.0, math.pi, need)
-            w = rng.standard_exponential(need)
-            ok = (theta > 0.0) & (w > 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_v = (1.0 - self.beta) / self.beta * (_log_kernel(theta, self.beta) - np.log(w))
-            log_v = np.where(ok, log_v, np.nan)
-            good = np.isfinite(log_v) & (log_v < LOG_V_MAX)
-            # overflow-scale draws are clamped rather than resampled
-            log_v = np.where(np.isfinite(log_v) & ~good, LOG_V_MAX, log_v)
-            keep = np.isfinite(log_v)
-            n_keep = int(keep.sum())
-            out[filled : filled + n_keep] = np.exp(log_v[keep])
-            filled += n_keep
-        return out
+        theta = rng.uniform(0.0, math.pi, size)
+        w = rng.standard_exponential(size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_a = np.where(theta > 0.0, _log_kernel(theta, self.beta),
+                             math.log(_kernel_min(self.beta)))
+            return np.exp((1.0 - self.beta) / self.beta * (log_a - np.log(w)))
 
     # density / survival ----------------------------------------------------
 

@@ -154,6 +154,31 @@ class TestSampler:
         ref = 1.0 - erf(0.5)
         assert abs(p - ref) <= 4.0 * math.sqrt(ref * (1 - ref) / vals.size)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    def test_edge_draws_take_their_limits_in_one_pass(self, beta):
+        class OneBatch:
+            """Serves one batch of each draw; a redraw finds none and raises."""
+
+            def __init__(self):
+                self.batches = {"uniform": np.array([0.0, math.pi / 2]),
+                                "standard_exponential": np.array([1.0, 0.0])}
+                self.calls = []
+
+            def uniform(self, low, high, size):
+                self.calls.append(("uniform", low, high, size))
+                return self.batches.pop("uniform")
+
+            def standard_exponential(self, size):
+                self.calls.append(("standard_exponential", size))
+                return self.batches.pop("standard_exponential")
+
+        rng = OneBatch()
+        v = PositiveStableLaw(beta).sample(rng, 2)
+        assert rng.calls == [("uniform", 0.0, math.pi, 2), ("standard_exponential", 2)]
+        # Theta = 0 takes the kernel's limit a(0+); W = 0 gives the limit +inf
+        assert v[0] == pytest.approx(stable_mod._kernel_min(beta) ** ((1 - beta) / beta), rel=1e-14)
+        assert v[1] == math.inf
+
 
 class TestQuantilesAgainstSamples:
     @pytest.mark.parametrize("beta", [0.5, 2 / 3])
