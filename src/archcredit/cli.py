@@ -125,11 +125,8 @@ def _portfolio(settings: Settings, n: int | None) -> Portfolio:
 
 
 def _scale(settings: Settings) -> DefaultScale:
-    if settings.scale_kind == "constant":
-        if settings.scale_value is None:
-            raise ConfigError("constant scale requires --f (or scale.value in the config)")
-        return DefaultScale.constant(settings.scale_value)
-    return DefaultScale(settings.scale_kind.replace("-", "_"))
+    kind = settings.scale_kind.replace("-", "_")
+    return _checked("--f (scale.value in the config)", DefaultScale, kind, settings.scale_value)
 
 
 # converters of config values: each checks the JSON type and never coerces
@@ -347,10 +344,15 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
     The rows of one (alpha, n, b) point share its validated AsymptoticInputs;
     a Monte Carlo row also gets a validated run config with seed
     ``seed + row index``.  Nothing is computed here.  A setting in ``given``
-    (set by a flag or a config key) that the command's preset fixes is a
-    ConfigError.
+    (set by a flag or a config key) that the command's preset or a groups
+    config fixes is a ConfigError.
     """
     alphas, fixed = _PRESETS[command]
+    if settings.groups is not None and given & {"l", "c"}:
+        raise ConfigError(
+            "a groups config sets each group's pd_scale and exposure; it cannot be combined "
+            "with l or c (--l, --c or a config key)"
+        )
     settings = dataclasses.replace(settings, **fixed)
     methods = settings.methods or _PAIR
     scale = _scale(settings)

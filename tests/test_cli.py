@@ -113,6 +113,13 @@ class TestEstimateCommand:
         code, out, err = run_cli(capsys, "estimate", "--config", str(cfg), "--m", "10")
         assert (code, out) == (2, "")
         assert "groups" in err
+        # the groups set each pd_scale and exposure; l and c used to be ignored (exit 0)
+        for key, value in (("l", 0.9), ("c", 5)):
+            cfg.write_text(json.dumps({**json.loads(Path(DESK).read_text()), key: value}))
+            for argv in (["--config", str(cfg)], ["--config", DESK, f"--{key}", str(value)]):
+                code, out, err = run_cli(capsys, "asymptotic", *argv)
+                assert (code, out) == (2, "")
+                assert "groups" in err
 
     def test_setting_fixed_by_preset_rejected(self, capsys, tmp_path):
         # presets used to override these without a word (exit 0)
@@ -136,11 +143,17 @@ class TestEstimateCommand:
         assert code == 2
         assert "loss level" in err
 
-    def test_checks_of_the_run_inputs_are_config_errors(self, capsys):
+    def test_checks_of_the_run_inputs_are_config_errors(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scale": {"kind": "reciprocal", "value": 0.3}}))
         for argv, what in (
             (["--seed", "-1"], "seed"),
             (["--method", "importance", "--n", "20", "--l", "0.2", "--scale", "constant",
               "--f", "0.95", "--b", "0.1"], "splice"),
+            (["--scale", "constant"], "--f"),
+            # a value beside a scale that takes none used to be dropped (exit 0)
+            (["--n", "100", "--b", "0.8", "--f", "0.3"], "--f"),
+            (["--config", str(cfg)], "scale.value"),
         ):
             code, out, err = run_cli(capsys, "estimate", "--m", "10", *argv)
             assert code == 2
