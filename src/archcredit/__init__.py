@@ -5,7 +5,6 @@ two-step importance sampling, conditional Monte Carlo) for the probability of
 large portfolio losses and the expected shortfall.
 """
 
-from .archimedean import GumbelGenerator
 from .asymptotics import (
     AsymptoticInputs,
     expected_shortfall_asymptotic,
@@ -44,7 +43,6 @@ __all__ = [
     "EstimateReport",
     "EstimationError",
     "EstimatorConfig",
-    "GumbelGenerator",
     "LossModel",
     "NumericalError",
     "Portfolio",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -55,18 +56,18 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {_KINDS}")
-        if self.m < 2:
-            raise ValueError(f"need at least 2 replications, got {self.m}")
+        # an int or a NumPy integer: a float or bool seed would run as its int part
+        for name, least in (("m", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.x0 < math.inf:
             raise ValueError(f"splice point x0 must be positive and finite, got {self.x0}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         model = self.model
         if self.kind == "importance":
-            phi_f = model.gen.phi_one_minus(model.f_n)
-            if not phi_f < 1.0:
+            if not model.phi_f < 1.0:
                 raise ValueError(
-                    f"splice tail shape undefined: phi(1 - f_n)={phi_f} >= 1; "
+                    f"splice tail shape undefined: phi(1 - f_n)={model.phi_f} >= 1; "
                     "the default scale is too large for importance sampling"
                 )
 
@@ -97,10 +98,12 @@ class RunContext:
     def __init__(self, config: EstimatorConfig):
         self.config = config
         self.model = model = config.model
-        self.law: PositiveStableLaw = model.gen.mixing_law()
+        # the mixing variable V, whose Laplace transform exp(-s**(1/alpha)) is
+        # the inverse Gumbel generator
+        self.law = PositiveStableLaw(1.0 / config.alpha)
 
         if config.kind == "importance":
-            self.eta = -1.0 / math.log(model.gen.phi_one_minus(model.f_n))
+            self.eta = -1.0 / math.log(model.phi_f)
             self.sf_x0 = self.law.sf(config.x0)
             self.log_tail_norm = (
                 math.log(self.sf_x0 * self.eta) + self.eta * math.log(config.x0)

@@ -1,10 +1,17 @@
-"""Credit portfolio model: obligor groups, default-probability scale, and the
-limiting loss curve whose inverse locates the systemic-risk threshold.
+"""Credit portfolio model: obligor groups, default-probability scale, the
+Gumbel-copula loss model, and the limiting loss curve whose inverse locates
+the systemic-risk threshold.
 
 A portfolio is a finite union of homogeneous sub-portfolios; group j holds
 ``count_j`` obligors, each with exposure ``exposure_j`` and marginal default
 probability ``pd_scale_j * f_n``.  The scale f_n shrinks with portfolio size
 to encode diversification.
+
+The copula is determined by its generator phi, whose inverse is the Laplace
+transform of a positive mixing variable V.  For the Gumbel family,
+phi(t) = (-ln t)**alpha and V follows the positive stable law with index
+1/alpha; conditionally on V, obligors default independently (see
+:class:`LossModel`).
 """
 
 from __future__ import annotations
@@ -15,12 +22,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .archimedean import GumbelGenerator
 from .errors import NumericalError
 
 LOSS_EPS = 1e-9  # "loss exceeds n*b" means loss > n*b + LOSS_EPS; snaps integer boundaries
 _VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar
 _LOG_V_CERTAIN = 700.0  # some default must be certain at V = exp(this); see LossModel
+
+
+def _phi_near_one(alpha: float, eps: float) -> float:
+    """The Gumbel generator phi(1 - eps) = (-ln(1 - eps))**alpha, computed from
+    eps directly so that it is exact for tiny eps."""
+    return (-math.log1p(-eps)) ** alpha
 
 
 def _read_only(values, dtype=float) -> np.ndarray:
@@ -127,21 +139,11 @@ class DefaultScale:
         if self.kind == "reciprocal":
             f = 1.0 / n
         elif self.kind == "log_reciprocal":
-            f = 1.0 / math.log(n)
+            f = 1.0 / math.log(n) if n > 1 else math.inf  # 1/ln n blows up at n = 1
         else:
             f = self.value
         if not 0.0 < f < 1.0:
             raise ValueError(f"resolved default scale {f} outside (0, 1) for n={n}")
-        return f
-
-    def validate(self, pf: Portfolio) -> float:
-        """Resolve against pf and check all marginal default probabilities < 1."""
-        f = self.resolve(pf.n)
-        worst = max(g.pd_scale for g in pf.groups) * f
-        if not worst < 1.0:
-            raise ValueError(
-                f"marginal default probability {worst} >= 1; shrink pd_scale or the scale f_n"
-            )
         return f
 
 
@@ -149,13 +151,20 @@ class DefaultScale:
 
 
 def check_model(pf: Portfolio, alpha: float, scale: DefaultScale, b: float) -> float:
-    """Validate 1 < alpha < inf and 0 < b < mean exposure; return f_n resolved against pf."""
+    """Validate 1 < alpha < inf, 0 < b < mean exposure and every marginal default
+    probability l_j f_n < 1; return f_n resolved against pf."""
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"tail index must be finite and exceed 1, got {alpha}")
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
         raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")
-    return scale.validate(pf)
+    f = scale.resolve(pf.n)
+    worst = max(g.pd_scale for g in pf.groups) * f
+    if not worst < 1.0:
+        raise ValueError(
+            f"marginal default probability {worst} >= 1; shrink pd_scale or the scale f_n"
+        )
+    return f
 
 
 class LossModel:
@@ -169,12 +178,12 @@ class LossModel:
 
     def __init__(self, pf: Portfolio, alpha: float, scale: DefaultScale, b: float):
         self.f_n = check_model(pf, alpha, scale, b)
-        self.gen = GumbelGenerator(alpha)
         self.n = pf.n
         self.nb = pf.n * b
         self.counts = pf.counts
         self.exposures = pf.exposures
-        self.phis = _read_only([self.gen.phi_one_minus(pd * self.f_n) for pd in pf.pd_scales])
+        self.phi_f = _phi_near_one(alpha, self.f_n)  # phi(1 - f_n), read by importance sampling
+        self.phis = _read_only([_phi_near_one(alpha, pd * self.f_n) for pd in pf.pd_scales])
         # p_j(V) = 1 - exp(-V phi_j) rounds to 1 once V phi_j >= 40; a phi_j so
         # small that this takes V beyond exp(_LOG_V_CERTAIN), near the float
         # range, has underflowed in all but name

@@ -154,11 +154,17 @@ class TestEstimateCommand:
             # a value beside a scale that takes none used to be dropped (exit 0)
             (["--n", "100", "--b", "0.8", "--f", "0.3"], "--f"),
             (["--config", str(cfg)], "scale.value"),
+            # 1/ln n at n = 1 used to end in a ZeroDivisionError traceback (exit 1)
+            (["--n", "1", "--scale", "log-reciprocal", "--b", "0.5"], "default scale"),
         ):
             code, out, err = run_cli(capsys, "estimate", "--m", "10", *argv)
             assert code == 2
             assert out == ""
             assert what in err
+        code, out, err = run_cli(capsys, "asymptotic", "--n", "1", "--scale", "log-reciprocal",
+                                 "--b", "0.5")
+        assert (code, out) == (2, "")
+        assert "default scale" in err
 
     def test_two_replication_row_fills_every_value(self, capsys):
         # the first mc-mix row cut to m = 2, as perfbench/run.py runs it for

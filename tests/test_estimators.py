@@ -11,7 +11,6 @@ from archcredit import (
     DefaultScale,
     EstimationError,
     EstimatorConfig,
-    GumbelGenerator,
     NumericalError,
     Portfolio,
     RngStream,
@@ -60,6 +59,12 @@ class TestConfig:
             config(b=1.0)
         with pytest.raises(ValueError):
             config(alpha=1.0)
+        # a bool or a float used to run as its int part (seed) or crash in range (m)
+        for bad in (dict(seed=1.7), dict(seed=True), dict(seed=1.0), dict(m=200.5),
+                    dict(m=True), dict(m=200.0), dict(seed=-1)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                config(**bad)
+        assert config(m=np.int64(200), seed=np.uint32(3)).m == 200
 
     def test_underflowing_phi_rejected_for_every_kind(self):
         # phi(1 - 0.5/1000) = (-ln(1 - 5e-4))**100 underflows to 0.0: naive and
@@ -327,7 +332,7 @@ class TestConditionalRep:
         ctx = RunContext(cfg)
         got = condmc_block(ctx, RngStream(99), 5)
         r = RngStream(99).standard_exponential(5)
-        want = ctx.law.sf(r / GumbelGenerator(1.5).phi_one_minus(0.5 * 0.3))
+        want = ctx.law.sf(r / (-math.log1p(-0.5 * 0.3)) ** 1.5)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import archcredit.portfolio as portfolio
 from archcredit import (
     DefaultScale,
-    GumbelGenerator,
     LossModel,
     NumericalError,
     Portfolio,
@@ -77,11 +76,15 @@ class TestTypes:
     def test_scale_log_reciprocal_needs_big_n(self):
         with pytest.raises(ValueError):
             DefaultScale.log_reciprocal().resolve(2)  # 1/ln 2 > 1
+        with pytest.raises(ValueError):
+            DefaultScale.log_reciprocal().resolve(1)  # 1/ln 1 is a division by zero
 
     def test_scale_validate_marginal_probability(self):
         pf = Portfolio.homogeneous(4, pd_scale=5.0)
-        with pytest.raises(ValueError):
-            DefaultScale.constant(0.3).validate(pf)  # 5 * 0.3 >= 1
+        with pytest.raises(ValueError, match="marginal default probability"):
+            LossModel(pf, 1.5, DefaultScale.constant(0.3), 0.5)  # 5 * 0.3 >= 1
+        with pytest.raises(ValueError, match="marginal default probability"):
+            portfolio.check_model(pf, 1.5, DefaultScale.constant(0.3), 0.5)
 
 
 class TestConditionalDefaultProb:
@@ -107,21 +110,20 @@ class TestConditionalDefaultProb:
     def test_scaled_form_cross_check(self, homog):
         # at the normalized value v = V * phi(1 - f_n) = 1 the probability is
         # 1 - exp(-phi(0.999)/phi(0.998)), by direct evaluation
-        gen = GumbelGenerator(1.5)
         model = LossModel(homog, 1.5, DefaultScale.reciprocal(), 0.8)
-        phi_f = gen.phi_one_minus(1 / 500)
+        phi_f = (-math.log1p(-1 / 500)) ** 1.5
         got = model.default_probs(1.0 / phi_f)[0]
-        ratio = gen.phi_one_minus(0.5 / 500) / phi_f
+        ratio = (-math.log1p(-0.5 / 500)) ** 1.5 / phi_f
         assert got == pytest.approx(-math.expm1(-ratio), rel=1e-12)
-        assert model.phis == (gen.phi_one_minus(0.5 / 500),)
+        assert model.phi_f == phi_f
+        assert model.phis == ((-math.log1p(-0.5 / 500)) ** 1.5,)
 
     def test_small_scale_limit(self):
         # as f_n -> 0 the probability at v = 1 / phi(1 - f_n) approaches
         # 1 - exp(-l**alpha)
-        gen = GumbelGenerator(1.5)
         pf = Portfolio.homogeneous(500, pd_scale=0.5)
         model = LossModel(pf, 1.5, DefaultScale.constant(1e-6), 0.8)
-        got = model.default_probs(1.0 / gen.phi_one_minus(1e-6))[0]
+        got = model.default_probs(1.0 / (-math.log1p(-1e-6)) ** 1.5)[0]
         assert got == pytest.approx(1.0 - math.exp(-(0.5**1.5)), abs=1e-3)
         assert got == pytest.approx(0.29781149867344037, abs=1e-3)
 
