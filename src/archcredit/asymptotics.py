@@ -11,18 +11,91 @@ many groups psi has the closed form
 
 with GammaUpper the (non-regularized) upper incomplete gamma function, so
 neither approximation needs quadrature; vstar is solved once per set of
-inputs and shared by both.
+inputs and shared by both.  Gamma is ``math.gamma``, and GammaUpper, needed
+only for 0 < s < 1, is evaluated here (``_upper_gamma``), so this module
+imports no SciPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from scipy.special import gamma, gammaincc
+import numpy as np
 
+from .errors import NumericalError
 from .portfolio import DefaultScale, Portfolio, check_model, solve_vstar
+
+_EPS = 2.0**-52  # relative stop of the gamma series and continued fraction
+_CF_FROM = 3.0  # GammaUpper(s, x) by the continued fraction for x >= this, else by the series
+# cap on series terms and fraction steps; for 0 < s < 1 neither takes more
+# than 35 on its side of _CF_FROM
+_GAMMA_STEPS = 100
+
+
+def _upper_gamma(s: float, x: float) -> float:
+    """GammaUpper(s, x), the integral of t**(s-1) exp(-t) over (x, inf), for
+    0 < s < 1 and x > 0, to about 1e-14 relative.
+
+    Below _CF_FROM it is Gamma(s) - gamma(s, x), the lower function gamma by
+    its power series.  Both terms are close to 1/s when s is small, so each
+    is taken less 1/s, which leaves two terms of order one.
+    """
+    if x >= _CF_FROM:
+        return _upper_gamma_cf(s, x)
+    return _gamma_less_pole(s) - _lower_gamma_less_pole(s, x)
+
+
+def _upper_gamma_cf(s: float, x: float) -> float:
+    """GammaUpper(s, x) for x > s by the continued fraction DLMF 8.9.2, in
+    the even form of Numerical Recipes 6.2, summed by Lentz's method.
+
+    Partial denominator i of either Lentz sequence is at least i + 1 + x - s
+    > 0, so no step needs Lentz's guard against a zero denominator.
+    """
+    b = x + 1.0 - s
+    c = math.inf  # Lentz's C_0: the first step makes c = b
+    d = 1.0 / b
+    h = d
+    for i in range(1, _GAMMA_STEPS + 1):
+        an = -i * (i - s)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return math.exp(s * math.log(x) - x) * h
+    raise NumericalError(f"upper incomplete gamma fraction did not converge at s={s:g}, x={x:g}")
+
+
+def _lower_gamma_less_pole(s: float, x: float) -> float:
+    """gamma(s, x) - 1/s for 0 < x <= _CF_FROM.
+
+    gamma(s, x) = x**s * sum over k >= 0 of (-x)**k / (k! (s + k)) (DLMF
+    8.7.1); its k = 0 term less 1/s is expm1(s log x) / s.
+    """
+    term = 1.0  # (-x)**k / k!
+    acc = 0.0  # the sum over k >= 1
+    for k in range(1, _GAMMA_STEPS + 1):
+        term *= -x / k
+        part = term / (s + k)
+        acc += part
+        if abs(part) <= _EPS * abs(acc):
+            s_log_x = s * math.log(x)
+            return math.expm1(s_log_x) / s + math.exp(s_log_x) * acc
+    raise NumericalError(f"lower incomplete gamma series did not converge at s={s:g}, x={x:g}")
+
+
+@lru_cache(maxsize=16)
+def _gamma_less_pole(s: float) -> float:
+    """Gamma(s) - 1/s, as GammaUpper(s, x) + (gamma(s, x) - 1/s) at x = _CF_FROM.
+
+    Gamma(s) - 1/s from math.gamma would lose the digits of 1/s as s -> 0;
+    this sum keeps them, and makes _upper_gamma continuous at _CF_FROM.
+    """
+    return _upper_gamma_cf(s, _CF_FROM) + _lower_gamma_less_pole(s, _CF_FROM)
 
 
 @dataclass(frozen=True)
@@ -48,7 +121,7 @@ class AsymptoticInputs:
 def tail_probability_asymptotic(inputs: AsymptoticInputs) -> float:
     """Leading-order approximation of P(per-obligor loss > b)."""
     a = inputs.alpha
-    return inputs.f_n * inputs.vstar ** (-1.0 / a) / gamma(1.0 - 1.0 / a)
+    return inputs.f_n * inputs.vstar ** (-1.0 / a) / math.gamma(1.0 - 1.0 / a)
 
 
 def expected_shortfall_asymptotic(inputs: AsymptoticInputs) -> float:
@@ -62,7 +135,7 @@ def expected_shortfall_asymptotic(inputs: AsymptoticInputs) -> float:
     pf = inputs.portfolio
     vstar = inputs.vstar
     s = 1.0 - 1.0 / inputs.alpha
-    upper = gammaincc(s, vstar * pf.pd_scales**inputs.alpha) * gamma(s)
+    upper = np.array([_upper_gamma(s, x) for x in (vstar * pf.pd_scales**inputs.alpha).tolist()])
     integral = float((pf.exposures * pf.weights * pf.pd_scales * upper).sum())
     return pf.n * (inputs.b + vstar ** (1.0 / inputs.alpha) * integral)
 
@@ -71,7 +144,7 @@ def homogeneous_tail_asymptotic(alpha: float, f_n: float, b: float, l: float, c:
     """Closed form of the tail asymptotic for equal-parameter portfolios."""
     if not 0.0 < b < c:
         raise ValueError(f"loss level must lie in (0, {c}), got {b}")
-    return l * f_n * math.log(c / (c - b)) ** (-1.0 / alpha) / gamma(1.0 - 1.0 / alpha)
+    return l * f_n * math.log(c / (c - b)) ** (-1.0 / alpha) / math.gamma(1.0 - 1.0 / alpha)
 
 
 def homogeneous_shortfall_asymptotic(alpha: float, b: float, c: float, n: int) -> float:
@@ -84,6 +157,5 @@ def homogeneous_shortfall_asymptotic(alpha: float, b: float, c: float, n: int) -
     if not 0.0 < b < c:
         raise ValueError(f"loss level must lie in (0, {c}), got {b}")
     big_l = math.log(c / (c - b))
-    a = 1.0 - 1.0 / alpha
-    upper = gammaincc(a, big_l) * gamma(a)
+    upper = _upper_gamma(1.0 - 1.0 / alpha, big_l)
     return n * (b + c * upper * big_l ** (1.0 / alpha))

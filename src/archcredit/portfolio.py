@@ -17,6 +17,7 @@ phi(t) = (-ln t)**alpha and V follows the positive stable law with index
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,8 +55,9 @@ class SubPortfolio:
             raise ValueError(f"exposure must be positive and finite, got {self.exposure}")
         if not 0.0 < self.pd_scale < math.inf:
             raise ValueError(f"pd_scale must be positive and finite, got {self.pd_scale}")
-        if self.count < 1 or not float(self.count).is_integer():
-            raise ValueError(f"count must be an integer >= 1, got {self.count}")
+        count = self.count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)

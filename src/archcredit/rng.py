@@ -10,7 +10,16 @@ any order without changing results.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+
+def _nonnegative_int(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral number is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 class RngStream:
@@ -24,10 +33,9 @@ class RngStream:
     __slots__ = ("seed", "key", "_gen")
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        if seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        self.seed = int(seed)
-        self.key = tuple(int(k) for k in key)
+        # int() would run a float or bool seed or key as its int part
+        self.seed = _nonnegative_int(seed, "seed")
+        self.key = tuple(_nonnegative_int(k, "substream key") for k in key)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.key))
         )

@@ -14,15 +14,18 @@ Two complementary representations are used, with an automatic crossover:
 * a convergent power series in ``x**-beta`` (fast and accurate for moderate
   to large ``x``).  Each point sums only as many terms as a certified bound
   on the rest needs: |sin| <= 1 gives an envelope of the terms whose ratio
-  is known in closed form, a step table built once per law maps log x to
-  the least term count K(x) past which every envelope ratio is <= 1/2 and
-  the tail is <= 1e-17 of the first term, and a point needing more than 128
-  terms sums all 500.  A point's error bound is the rounding of its largest
-  term plus the geometric-series bound on the terms it leaves out;
+  is known in closed form, a step table maps log x to the least term count
+  K(x) past which every envelope ratio is <= 1/2 and the tail is <= 1e-17
+  of the first term, and a point needing more than 128 terms sums all 500.
+  A point's error bound is the rounding of its largest term plus the
+  geometric-series bound on the terms it leaves out.  The coefficients come
+  from ``math.lgamma``; the tables are built once per beta and shared by
+  every law of that beta;
 * a one-dimensional integral over the Kanter kernel ``a(theta)`` on
   ``(0, pi)``, evaluated by adaptive quadrature with the integrand's peak
   located first (robust for small ``x`` where the series loses precision;
-  Nolan 1997).
+  Nolan 1997).  This fallback is the package's only use of SciPy
+  (``scipy.integrate.quad``), imported on its first call.
 
 The series is attempted first; the quadrature is used whenever the series
 cannot certify the accuracy target (1e-10 absolute, and much better in
@@ -34,11 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalError
 from .rng import RngStream
@@ -107,7 +109,69 @@ class _Series(NamedTuple):
     log_mag: np.ndarray  # log |coefficient| of term k, k = 1 .. N
     log_env: np.ndarray  # log envelope coefficient of term k, k = 1 .. N + 1
     log_ratio_sup: np.ndarray  # log of sup over j >= k of e_{j+1} / e_j at x = 1, k = 1 .. N + 1
-    steps: np.ndarray  # K(x) = 1 + searchsorted(steps, -log x); see PositiveStableLaw._series
+    steps: np.ndarray  # K(x) = 1 + searchsorted(steps, -log x); see _series_tables
+
+
+def _lgamma(y: np.ndarray) -> np.ndarray:
+    """log Gamma of each element of y."""
+    return np.array([math.lgamma(v) for v in y.tolist()])
+
+
+@lru_cache(maxsize=16)
+def _series_tables(beta: float) -> dict[str, _Series]:
+    """The x**-beta power series of the density and of the survival.
+
+    Built once per beta (about 1 500 log-gamma calls) and shared, read-only,
+    by every law of that beta.
+
+    Term k of the density is
+        (-1)^(k+1) Gamma(k b + 1) / k! * sin(k pi b) * x^(-k b - 1) / pi
+    and the survival series integrates it term-wise (exponent -k b,
+    coefficient Gamma(k b) / k!).  With delta = 1 (pdf) or 0 (sf), the
+    envelope e_k(x) = Gamma(k b + delta) / (k! pi) * x^(-k b - delta)
+    bounds |term k|, since |sin| <= 1.  Its term ratio e_{j+1}/e_j is
+    exp(g_j) x^-b with g_j = log Gamma((j+1) b + delta) - log Gamma(j b + delta)
+    - log(j + 1), taken from log-gamma up to j = N + 1.  Past that, log-gamma's
+    convexity and psi(y) < log y give
+        g_j <= (b - 1) log(j + 1) + b log(b + delta / (j + 1)),
+    which falls with j, so its value at j = N + 2 bounds every later g_j.
+    """
+    k = np.arange(1, _SERIES_TERMS + 3, dtype=float)  # terms 1 .. N + 2
+    s = np.sin(k[:_SERIES_TERMS] * math.pi * beta)
+    sign = np.where(k[:_SERIES_TERMS] % 2 == 1, 1.0, -1.0) * np.sign(s)
+    with np.errstate(divide="ignore"):
+        log_s = np.log(np.abs(s))
+    log_factorial = _lgamma(k + 1.0)
+    tables = {}
+    for kind, delta in (("pdf", 1.0), ("sf", 0.0)):
+        log_coef = _lgamma(k * beta + delta) - log_factorial
+        log_env = log_coef - math.log(math.pi)
+        log_mag = log_coef[:_SERIES_TERMS] + log_s - math.log(math.pi)
+        j_far = _SERIES_TERMS + 3
+        far = (beta - 1.0) * math.log(j_far) + beta * math.log(beta + delta / j_far)
+        g = np.diff(log_env)  # g_j, j = 1 .. N + 1
+        log_ratio_sup = np.maximum(np.maximum.accumulate(g[::-1])[::-1], far)
+        # K terms leave a certified tail once every envelope ratio after
+        # term K + 1 is <= 1/2: the tail is then at most 2 e_{K+1}(x), which
+        # must be <= _TAIL_REL * e_1(x).  Both hold from a least log x on;
+        # steps[K - 1] is minus the least log x at which some count <= K
+        # qualifies, so steps is non-decreasing.
+        count = np.arange(1, _SERIES_TERMS + 1)
+        least = np.maximum(
+            (log_ratio_sup[count] + _LOG2) / beta,
+            (log_env[count] - log_env[0] + _LOG2 - math.log(_TAIL_REL)) / (count * beta),
+        )
+        tables[kind] = _Series(
+            exponent=k[: _SERIES_TERMS + 1] * beta + delta,
+            sign=sign,
+            log_mag=log_mag,
+            log_env=log_env[: _SERIES_TERMS + 1],
+            log_ratio_sup=log_ratio_sup,
+            steps=-np.minimum.accumulate(least),
+        )
+        for column in tables[kind]:
+            column.flags.writeable = False
+    return tables
 
 
 def _partial_sums(table: _Series, lx: np.ndarray, count: np.ndarray):
@@ -150,58 +214,10 @@ class PositiveStableLaw:
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"stability index must lie in (0, 1), got {self.beta}")
 
-    # series tables ---------------------------------------------------------
-
-    @cached_property
+    @property
     def _series(self) -> dict[str, _Series]:
-        """The x**-beta power series of the density and of the survival.
-
-        Term k of the density is
-            (-1)^(k+1) Gamma(k b + 1) / k! * sin(k pi b) * x^(-k b - 1) / pi
-        and the survival series integrates it term-wise (exponent -k b,
-        coefficient Gamma(k b) / k!).  With delta = 1 (pdf) or 0 (sf), the
-        envelope e_k(x) = Gamma(k b + delta) / (k! pi) * x^(-k b - delta)
-        bounds |term k|, since |sin| <= 1.  Its term ratio e_{j+1}/e_j is
-        exp(g_j) x^-b with g_j = log Gamma((j+1) b + delta) - log Gamma(j b + delta)
-        - log(j + 1), taken from gammaln up to j = N + 1.  Past that, log-gamma's
-        convexity and psi(y) < log y give
-            g_j <= (b - 1) log(j + 1) + b log(b + delta / (j + 1)),
-        which falls with j, so its value at j = N + 2 bounds every later g_j.
-        """
-        beta = self.beta
-        k = np.arange(1, _SERIES_TERMS + 3, dtype=float)  # terms 1 .. N + 2
-        s = np.sin(k[:_SERIES_TERMS] * math.pi * beta)
-        sign = np.where(k[:_SERIES_TERMS] % 2 == 1, 1.0, -1.0) * np.sign(s)
-        with np.errstate(divide="ignore"):
-            log_s = np.log(np.abs(s))
-        tables = {}
-        for kind, delta in (("pdf", 1.0), ("sf", 0.0)):
-            log_coef = gammaln(k * beta + delta) - gammaln(k + 1.0)
-            log_env = log_coef - math.log(math.pi)
-            log_mag = log_coef[:_SERIES_TERMS] + log_s - math.log(math.pi)
-            j_far = _SERIES_TERMS + 3
-            far = (beta - 1.0) * math.log(j_far) + beta * math.log(beta + delta / j_far)
-            g = np.diff(log_env)  # g_j, j = 1 .. N + 1
-            log_ratio_sup = np.maximum(np.maximum.accumulate(g[::-1])[::-1], far)
-            # K terms leave a certified tail once every envelope ratio after
-            # term K + 1 is <= 1/2: the tail is then at most 2 e_{K+1}(x), which
-            # must be <= _TAIL_REL * e_1(x).  Both hold from a least log x on;
-            # steps[K - 1] is minus the least log x at which some count <= K
-            # qualifies, so steps is non-decreasing.
-            count = np.arange(1, _SERIES_TERMS + 1)
-            least = np.maximum(
-                (log_ratio_sup[count] + _LOG2) / beta,
-                (log_env[count] - log_env[0] + _LOG2 - math.log(_TAIL_REL)) / (count * beta),
-            )
-            tables[kind] = _Series(
-                exponent=k[: _SERIES_TERMS + 1] * beta + delta,
-                sign=sign,
-                log_mag=log_mag,
-                log_env=log_env[: _SERIES_TERMS + 1],
-                log_ratio_sup=log_ratio_sup,
-                steps=-np.minimum.accumulate(least),
-            )
-        return tables
+        """The series tables of this law's beta; see _series_tables."""
+        return _series_tables(self.beta)
 
     # sampling --------------------------------------------------------------
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import archcredit.asymptotics as asym_mod
@@ -10,6 +11,7 @@ import archcredit.asymptotics as asym_mod
 from archcredit import (
     AsymptoticInputs,
     DefaultScale,
+    NumericalError,
     Portfolio,
     SubPortfolio,
     expected_shortfall_asymptotic,
@@ -49,17 +51,46 @@ class TestInputs:
         assert len(calls) == 1
 
     def test_cli_asymptotics_do_not_import_quadrature(self):
-        # scipy.integrate is needed only by the stable law's quadrature fallback
+        # SciPy is needed only by the stable law's quadrature fallback, which
+        # none of these rows reaches: no scipy module is imported at all
+        runs = [
+            ["estimate", "--method", "naive", "--method", "importance", "--method",
+             "conditional", "--asymptotic", "--m", "200"],
+            ["es", "--m", "200"],
+            ["asymptotic", "--es"],
+        ]
         code = (
             "import sys, contextlib, io, archcredit.cli as cli\n"
+            f"runs = {runs!r}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = cli.main(['asymptotic', '--n', '100', '--b', '0.8', '--es'])\n"
-            "print(rc, 'scipy.integrate' in sys.modules)\n"
+            "    codes = [cli.main(argv) for argv in runs]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={"PYTHONPATH": src})
-        assert out.stdout.split() == ["0", "False"]
+        assert out.stdout.strip() == "[0, 0, 0] []"
+
+
+class TestUpperGamma:
+    @pytest.mark.parametrize("alpha", [1.001, 1.1, 1.5, 2.0, 5.0, 100.0])
+    def test_matches_scipy(self, alpha):
+        # the series side, the fraction side and the crossover between them;
+        # s -> 0 is where Gamma(s) - gamma(s, x) would cancel
+        from scipy.special import gamma, gammaincc
+
+        s = 1.0 - 1.0 / alpha
+        cut = asym_mod._CF_FROM
+        xs = np.geomspace(1e-8, 700.0, 400).tolist() + [np.nextafter(cut, 0.0), cut]
+        for x in xs:
+            want = gammaincc(s, x) * gamma(s)
+            assert asym_mod._upper_gamma(s, x) == pytest.approx(want, rel=1e-12, abs=0), x
+
+    @pytest.mark.parametrize("x", [0.5, 10.0])
+    def test_step_cap_raises(self, x, monkeypatch):
+        monkeypatch.setattr(asym_mod, "_GAMMA_STEPS", 3)
+        with pytest.raises(NumericalError, match="did not converge"):
+            asym_mod._upper_gamma(0.25, x)
 
 
 class TestTailProbability:

@@ -37,8 +37,11 @@ class TestTypes:
             SubPortfolio(1.0, -0.1, 10)
         with pytest.raises(ValueError):
             SubPortfolio(1.0, 0.5, 0)
-        with pytest.raises(ValueError, match="integer"):
-            SubPortfolio(1.0, 0.5, 2.5)  # the int count column would truncate it
+        # the int count column would truncate 2.5 and store True or 3.0 as given
+        for count in (2.5, 3.0, True, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="integer"):
+                SubPortfolio(1.0, 0.5, count)
+        assert SubPortfolio(1.0, 0.5, np.int64(3)).count == 3
 
     def test_empty_portfolio(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,20 @@ def test_negative_seed_rejected():
         RngStream(-1)
 
 
+@pytest.mark.parametrize("seed,key", [(1.7, ()), (True, ()), (1.0, ()), (1, (2.5,)),
+                                      (1, (False,)), (1, (-1,))])
+def test_non_integral_seed_or_key_rejected(seed, key):
+    # int() would draw 1.7, True and 1.0 as seed 1
+    with pytest.raises(ValueError, match="integer"):
+        RngStream(seed, key)
+
+
+def test_numpy_integer_seed_and_key_accepted():
+    a = RngStream(np.int64(3), key=(np.uint32(1),))
+    assert (a.seed, a.key) == (3, (1,)) and type(a.seed) is int and type(a.key[0]) is int
+    np.testing.assert_array_equal(a.uniform(size=5), RngStream(3, (1,)).uniform(size=5))
+
+
 def test_binomial_range():
     rng = RngStream(1)
     draws = [rng.binomial(10, 0.3) for _ in range(200)]
