@@ -36,7 +36,7 @@ _GAMMA_STEPS = 100
 
 def _upper_gamma(s: float, x: float) -> float:
     """GammaUpper(s, x), the integral of t**(s-1) exp(-t) over (x, inf), for
-    0 < s < 1 and x > 0, to about 1e-14 relative.
+    0 < s < 1 and x > 0, to about 1e-13 relative.
 
     Below _CF_FROM it is Gamma(s) - gamma(s, x), the lower function gamma by
     its power series.  Both terms are close to 1/s when s is small, so each
