@@ -400,13 +400,15 @@ def is_expected_shortfall(config: EstimatorConfig) -> EstimateReport:
         raise EstimationError(
             "all exceeding replications carried zero likelihood weight; increase m"
         )
-    estimate = nb + num_mean / den_mean
-    cov = np.cov(pair, ddof=1)
-    var_ratio = (
-        cov[0, 0] / den_mean**2
-        - 2.0 * num_mean * cov[0, 1] / den_mean**3
-        + num_mean**2 * cov[1, 1] / den_mean**4
-    ) / config.m
+    ratio = num_mean / den_mean
+    estimate = nb + ratio
+    # delta method on the pair over den_mean, which is scale-free: the weights
+    # can be so small that den_mean**4 underflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.cov(pair / den_mean, ddof=1)
+        var_ratio = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]) / config.m
+    if not math.isfinite(var_ratio):
+        raise NumericalError(f"shortfall variance is not finite ({var_ratio})")
     std_error = math.sqrt(max(var_ratio, 0.0))
     return EstimateReport(
         estimate=estimate,

@@ -479,6 +479,23 @@ class TestExpectedShortfall:
         with pytest.raises(NumericalError, match="not finite"):
             is_expected_shortfall(config(kind="importance", m=10))
 
+    def test_tiny_weights_give_finite_error(self):
+        # seed 1 at m = 2: one exceedance, weight about 1e-137, whose fourth
+        # power underflows; the standard error must not come out NaN
+        rep = is_expected_shortfall(
+            config(portfolio=Portfolio.homogeneous(50, exposure=1.0, pd_scale=0.5),
+                   kind="importance", m=2, seed=1)
+        )
+        assert math.isfinite(rep.std_error)
+        assert math.isfinite(rep.rel_error_pct)
+
+    def test_overflowing_variance_rejected(self):
+        # exposures near 1e160: squared excess losses overflow the variance
+        base = dict(RARE, portfolio=Portfolio.homogeneous(50, exposure=1e160, pd_scale=0.5),
+                    b=0.8e160)
+        with pytest.raises(NumericalError, match="variance is not finite"):
+            is_expected_shortfall(config(base=base, kind="importance", m=2000, seed=3))
+
     def test_kind_coerced_to_importance(self):
         rep = is_expected_shortfall(config(kind="conditional", m=4000, seed=3))
         assert rep.estimate > 400.0
