@@ -8,8 +8,11 @@ a Pareto draw (a spliced density), and the conditional default
 probabilities are exponentially twisted so the mean loss under the proposal
 sits exactly at the target level.  Each replication returns an unbiased
 weighted indicator.  Conditional Monte Carlo instead draws only the obligor
-exponentials and returns the exact conditional exceedance probability, a
-survival evaluation of the stable law at an order statistic.
+default times and returns the exact conditional exceedance probability, a
+survival evaluation of the stable law at an order statistic: for one group,
+the k-th order statistic of n exponentials, drawn as a ratio of two gammas
+per replication; for several groups, the tipping default found by sorting a
+(size, n) matrix of obligor exponentials.
 
 The model itself (conditional default probabilities, threshold index, loss
 event) comes from :class:`~archcredit.portfolio.LossModel`.  Replications run
@@ -265,22 +268,26 @@ def is_tail_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
 def condmc_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
     """Conditional exceedance probabilities given the obligor exponentials.
 
-    Draws a (size, n) matrix of obligor exponentials, maps each column onto
-    the mixing-variable scale of its group, and returns the stable survival
-    function at the order statistic of each row that tips the cumulative
-    exposure above n*b.
+    Returns the stable survival function at the mixing-variable-scale time of
+    the default that tips the cumulative exposure above n*b.  A single-group
+    block draws that time directly, as two gamma vectors of ``size`` values;
+    any other block draws a (size, n) matrix of obligor exponentials.
     """
     return ctx.law.sf(_tipping_times(ctx.model, rng, size))
 
 
 def _tipping_times(model: LossModel, rng: RngStream, size: int) -> np.ndarray:
     """Per row, the mixing-variable-scale time of the default that tips the
-    loss above n*b; the (size, n) draw is freed before the survival call."""
+    loss above n*b; a (size, n) draw is freed before the survival call."""
+    if len(model.counts) == 1:
+        # the k-th order statistic E_(k) of n unit exponentials is -log W with
+        # W = x / (x + y) ~ Beta(n - k + 1, k), the law of 1 - U_(k) (Renyi);
+        # log1p(y / x) keeps full precision at k = 1 and at k = n
+        x = rng.standard_gamma(model.n - model.k + 1, size)
+        y = rng.standard_gamma(model.k, size)
+        return np.log1p(y / x) / model.phis[0]
     o = rng.standard_exponential((size, model.n))
     o /= model.obligor_phis
-    if model.k is not None:
-        o.partition(model.k - 1, axis=1)
-        return o[:, model.k - 1].copy()
     order = np.argsort(o, axis=1, kind="stable")
     cum = np.cumsum(model.obligor_exposures[order], axis=1)
     # first default after which the loss event holds

@@ -51,6 +51,9 @@ class RngStream:
     def standard_exponential(self, size=None):
         return self._gen.standard_exponential(size)
 
+    def standard_gamma(self, shape, size=None):
+        return self._gen.standard_gamma(shape, size)
+
     def binomial(self, n, p, size=None):
         return self._gen.binomial(n, p, size)
 

@@ -331,21 +331,25 @@ class TestConditionalRep:
         )
         ctx = RunContext(cfg)
         got = condmc_block(ctx, RngStream(99), 5)
-        r = RngStream(99).standard_exponential(5)
-        want = ctx.law.sf(r / (-math.log1p(-0.5 * 0.3)) ** 1.5)
+        # one obligor, k = 1: its default time is x/y's log1p, an exponential
+        rng = RngStream(99)
+        x, y = rng.standard_gamma(1, 5), rng.standard_gamma(1, 5)
+        want = ctx.law.sf(np.log1p(y / x) / (-math.log1p(-0.5 * 0.3)) ** 1.5)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "pf",
         [
             Portfolio.homogeneous(30, exposure=1.0, pd_scale=0.5),
+            Portfolio([SubPortfolio(1.0, 0.5, 12), SubPortfolio(1.0, 0.7, 8)]),
             Portfolio([SubPortfolio(1.0, 0.5, 12), SubPortfolio(3.0, 0.7, 8)]),
         ],
-        ids=["equal-exposures", "mixed-exposures"],
+        ids=["equal-exposures", "equal-exposures-two-groups", "mixed-exposures"],
     )
     def test_block_matches_row_by_row_threshold_search(self, pf):
-        # the partition / argsort-cumsum pass over a block against a loop that
-        # adds up defaults in time order, row by row, on the same draws
+        # the block against a loop that adds up defaults in time order, row by
+        # row; several groups: on the block's own exponentials; one group: the
+        # loop finds the tipping index k, and the block's gamma pair is E_(k)
         cfg = EstimatorConfig(
             portfolio=pf, alpha=1.5, scale=DefaultScale.constant(0.3), b=0.6, m=10, seed=0,
             kind="conditional",
@@ -353,9 +357,16 @@ class TestConditionalRep:
         ctx = RunContext(cfg)
         model = ctx.model
         got = condmc_block(ctx, RngStream(5), 64)
+        exposure = np.repeat(model.exposures, model.counts)
+        if len(pf.groups) == 1:
+            k = next(j for j in range(1, model.n + 1) if model.exceeds(exposure[:j].sum()))
+            rng = RngStream(5)
+            x, y = rng.standard_gamma(model.n - k + 1, 64), rng.standard_gamma(k, 64)
+            want = ctx.law.sf(np.log1p(y / x) / model.phis[0])
+            np.testing.assert_array_equal(got, want)
+            return
         times = RngStream(5).standard_exponential((64, model.n))
         times /= np.repeat(model.phis, model.counts)
-        exposure = np.repeat(model.exposures, model.counts)
         want = []
         for row in times:
             loss = 0.0
@@ -365,6 +376,47 @@ class TestConditionalRep:
                     want.append(ctx.law.sf(row[i]))
                     break
         np.testing.assert_array_equal(got, want)
+
+    def test_single_group_reads_two_gammas_in_order(self):
+        # a block's whole draw: x ~ Gamma(n - k + 1) first, y ~ Gamma(k) second
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def standard_gamma(self, shape, size):
+                self.calls.append((shape, size))
+                return np.full(size, float(len(self.calls)))
+
+        model = config().model  # n = 500, k = 401
+        rng = Recorder()
+        got = est_mod._tipping_times(model, rng, 7)
+        assert rng.calls == [(100, 7), (401, 7)]
+        np.testing.assert_array_equal(got, np.full(7, np.log1p(2.0) / model.phis[0]))
+
+    @pytest.mark.parametrize(
+        "n,k", [(1, 1), (30, 25), (100, 81), (500, 1), (500, 401), (500, 500), (1000, 801)]
+    )
+    def test_order_statistic_moments(self, n, k):
+        # E_(k) of n unit exponentials is a sum of independent Exp(1)/i over
+        # i = n-k+1 .. n, with cumulants (r-1)! sum 1/i**r; the gamma-pair draw
+        # and a partition oracle must both match the mean and variance
+        inv = 1.0 / np.arange(n - k + 1, n + 1)
+        k2, k4 = (inv**2).sum(), 6.0 * (inv**4).sum()
+        model = config(portfolio=Portfolio.homogeneous(n, pd_scale=0.5), b=(k - 0.5) / n,
+                       scale=DefaultScale.constant(0.3)).model
+        assert model.k == k
+
+        def partition_oracle(rng, size):
+            e = rng.standard_exponential((size, n))
+            return np.partition(e, k - 1, axis=1)[:, k - 1]
+
+        for draws in (
+            est_mod._tipping_times(model, RngStream(17), 200_000) * model.phis[0],
+            np.concatenate([partition_oracle(RngStream(18).substream(j), 500) for j in range(20)]),
+        ):
+            size = len(draws)
+            assert abs(draws.mean() - inv.sum()) <= 4.0 * math.sqrt(k2 / size)
+            assert abs(draws.var(ddof=1) - k2) <= 4.0 * math.sqrt((k4 + 2.0 * k2**2) / size)
 
     def test_values_in_unit_interval_and_rao_blackwell(self):
         cfg = config(base=DESK, kind="conditional", m=4000, seed=31)
