@@ -266,7 +266,7 @@ def is_tail_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
 
 
 def condmc_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
-    """Conditional exceedance probabilities given the obligor exponentials.
+    """Conditional exceedance probabilities given the obligor default times.
 
     Returns the stable survival function at the mixing-variable-scale time of
     the default that tips the cumulative exposure above n*b.  A single-group

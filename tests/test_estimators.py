@@ -331,7 +331,7 @@ class TestConditionalRep:
         )
         ctx = RunContext(cfg)
         got = condmc_block(ctx, RngStream(99), 5)
-        # one obligor, k = 1: its default time is x/y's log1p, an exponential
+        # one obligor, k = 1: its default time log1p(y / x) is an exponential
         rng = RngStream(99)
         x, y = rng.standard_gamma(1, 5), rng.standard_gamma(1, 5)
         want = ctx.law.sf(np.log1p(y / x) / (-math.log1p(-0.5 * 0.3)) ** 1.5)
