@@ -201,12 +201,13 @@ class LossModel:
         # per-obligor columns, in group order
         self.obligor_phis = _read_only(np.repeat(self.phis, self.counts))
         self.obligor_exposures = _read_only(np.repeat(self.exposures, self.counts))
-        # the index of the default that tips the loss into the event: a
-        # constant only when exposures are equal, else found per replication
+        # the index of the default that tips the loss into the event, read by
+        # the single-group order-statistic draw; other portfolios find it per
+        # replication
         self.k = None
-        c = self.exposures[0]
-        if (self.exposures == c).all():
-            self.k = int(np.count_nonzero(~self.exceeds(np.arange(1, self.n + 1) * c))) + 1
+        if len(self.counts) == 1:
+            losses = np.arange(1, self.n + 1) * self.exposures[0]
+            self.k = int(np.count_nonzero(~self.exceeds(losses))) + 1
 
     def default_probs(self, v) -> np.ndarray:
         """p_j(v) for every group, along a new last axis of v's shape;

@@ -22,15 +22,16 @@ Two complementary representations are used, with an automatic crossover:
   from ``math.lgamma``; the tables are built once per beta and shared by
   every law of that beta;
 * a one-dimensional integral over the Kanter kernel ``a(theta)`` on
-  ``(0, pi)``, evaluated by adaptive quadrature with the integrand's peak
-  located first (robust for small ``x`` where the series loses precision;
-  Nolan 1997).  This fallback is the package's only use of SciPy
-  (``scipy.integrate.quad``), imported on its first call.
+  ``(0, pi)``, split at the integrand's peak (robust for small ``x`` where
+  the series loses precision; Nolan 1997).  Each side takes tanh-sinh rules
+  (Takahasi & Mori 1974) of step 2**-3 .. 2**-8, whose nodes crowd toward
+  both ends, at every point that the series rejects at once; a point is
+  accepted once two successive steps agree within the tolerance.
 
-The series is attempted first; the quadrature is used whenever the series
+The series is attempted first; the kernel rule is used whenever the series
 cannot certify the accuracy target (1e-10 absolute, and much better in
-relative terms wherever the series converges).  K(x) depends on x alone, so
-a point gets the same bits in any batch.
+relative terms wherever the series converges).  Both work point by point,
+so a point gets the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -57,9 +58,12 @@ _TAIL_REL = 1e-17  # truncated tail bound relative to the first envelope term
 _LOG2 = math.log(2.0)
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-11
-_LOG_TINY = -745.0  # exp underflows below this
-_LOG_SATURATED = math.log(-_LOG_TINY)  # exp(-z) underflows once log z exceeds this
+_LOG_SATURATED = math.log(745.0)  # exp(-z) underflows once log z exceeds this
 _CHUNK = 64  # points per series evaluation; bounds the (points, terms) temporaries
+_RULE_TOL = 1e-10  # absolute tolerance of the kernel rule, the one pdf and sf state
+_PEAK_STEPS = 20  # bisection steps for the break point theta*
+_TS_SPAN = 3.25  # tanh-sinh steps k h reach |k h| <= this: nodes within e**-40 of an end
+_TS_LEVELS = (3, 4, 5, 6, 7, 8)  # step 2**-level of each successive rule
 
 
 def _log_kernel(theta, beta: float):
@@ -80,25 +84,29 @@ def _kernel_min(beta: float) -> float:
     return (1.0 - beta) * beta ** (beta / (1.0 - beta))
 
 
-def _peak_theta(lam: float, beta: float) -> float:
-    """theta at which lam * a(theta) = 1, used as a quadrature break point.
+def _peak_theta(log_lam: np.ndarray, beta: float) -> np.ndarray:
+    """theta at which lam * a(theta) = 1 at each point, by bisection on log a,
+    which increases from log a(0+) to infinity at pi; a point with no root
+    ends next to 0.  Only a break point for the kernel rule, so coarse."""
+    theta, target = np.full_like(log_lam, 0.5 * math.pi), -log_lam
+    for step in 0.25 * math.pi * 0.5 ** np.arange(_PEAK_STEPS):
+        theta += np.where(_log_kernel(theta, beta) < target, step, -step)
+    return theta
 
-    a is increasing from a(0+) to infinity at pi, so bisection on log a
-    applies; endpoints are returned when the equation has no root.
-    """
-    target = -math.log(lam)
-    lo, hi = 1e-12, math.pi - 1e-12
-    if _log_kernel(lo, beta) >= target:
-        return lo
-    if _log_kernel(hi, beta) <= target:
-        return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _log_kernel(mid, beta) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+@lru_cache(maxsize=None)
+def _ts_nodes(level: int, odd: bool):
+    """Tanh-sinh nodes on the unit interval at k h, h = 2**-level, |k h| <=
+    _TS_SPAN, every k or odd k only (those a level adds).  With u = pi sinh(k h)
+    a node lies 1/(1 + e**-u) from the left end and 1/(1 + e**u) from the
+    right; the weight, h pi cosh(k h) times both distances, cancels nothing."""
+    k = np.arange(-int(_TS_SPAN * 2**level), int(_TS_SPAN * 2**level) + 1)
+    t = k[k % 2 == 1] / 2**level if odd else k / 2**level
+    u = math.pi * np.sinh(t)
+    left, right = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
+    weight = math.pi * np.cosh(t) * left * right / 2**level
+    left.flags.writeable = weight.flags.writeable = False
+    return left, weight
 
 
 class _Series(NamedTuple):
@@ -253,9 +261,10 @@ class PositiveStableLaw:
         flat = xs.ravel()
         out = np.empty(flat.shape)
         for start in range(0, flat.size, _CHUNK):
-            out[start : start + _CHUNK], ok = self._series_eval(flat[start : start + _CHUNK], kind)
-            for i in np.flatnonzero(~ok) + start:
-                out[i] = self._quad_eval(float(flat[i]), kind)
+            part = flat[start : start + _CHUNK]
+            out[start : start + _CHUNK], ok = self._series_eval(part, kind)
+            if not ok.all():
+                out[start : start + _CHUNK][~ok] = self._kernel_eval(part[~ok], kind)
         if kind == "sf":
             np.clip(out, 0.0, 1.0, out=out)
         else:
@@ -283,60 +292,47 @@ class PositiveStableLaw:
         err = 5e-16 * biggest + _tail_bound(table, self.beta, lx, count)
         return vals, np.isfinite(vals) & (err <= _ABS_TOL + _REL_TOL * np.abs(vals))
 
-    def _quad_eval(self, x: float, kind: str) -> float:
-        # imported here: scipy.integrate costs about 26 MB and 0.2 s to import
-        from scipy.integrate import quad
-
+    def _kernel_eval(self, xs: np.ndarray, kind: str) -> np.ndarray:
+        """Values at xs from the integral over the Kanter kernel a on (0, pi):
+            sf(x) = (1/pi) int (1 - exp(-z)) dtheta,
+            pdf(x) = beta / ((1 - beta) pi x) int z exp(-z) dtheta,
+        with z = lam a(theta) and lam = x**(-beta / (1 - beta)), taken through
+        log z: near beta = 1 both lam and a overflow where z does not.  Each
+        side of the peak theta* (Nolan 1997) takes the tanh-sinh rule at each
+        of _TS_LEVELS in turn, and a point is accepted once two successive
+        levels agree within the tolerance; else NumericalError.
+        """
         beta = self.beta
-        # lam * a(theta) is handled through its log: near beta = 1 both lam
-        # and a(theta) overflow where their product does not
-        log_lam = -beta / (1.0 - beta) * math.log(x)
-        if log_lam + math.log(_kernel_min(beta)) > _LOG_SATURATED:
-            # x so small that the density/cdf vanish below any tolerance
-            return 0.0 if kind == "pdf" else 1.0
-        lam = math.exp(log_lam)
-        if lam == 0.0:
-            # x beyond the far tail; both density and survival are below tolerance
-            return 0.0
-        peak = _peak_theta(lam, beta)
-
-        if kind == "pdf":
-            # fold the x-dependent prefactor into the integrand (in log space)
-            # so the quadrature's epsabs bounds the final absolute error
-            log_pref = math.log(beta / ((1.0 - beta) * math.pi)) - math.log(x) / (1.0 - beta)
-
-            def integrand(theta: float) -> float:
-                if theta <= 0.0 or theta >= math.pi:
-                    return 0.0
-                la = float(_log_kernel(theta, beta))
-                log_z = log_lam + la
-                if log_z > _LOG_SATURATED:
-                    return 0.0
-                e = log_pref + la - math.exp(log_z)
-                return math.exp(e) if e > _LOG_TINY else 0.0
-
-        else:
-
-            def integrand(theta: float) -> float:
-                if theta <= 0.0:
-                    return -math.expm1(-lam * _kernel_min(beta)) / math.pi
-                if theta >= math.pi:
-                    return 1.0 / math.pi
-                log_z = log_lam + float(_log_kernel(theta, beta))
-                if log_z > _LOG_SATURATED:
-                    return 1.0 / math.pi
-                return -math.expm1(-math.exp(log_z)) / math.pi
-
-        val, abserr = 0.0, 0.0
-        for lo, hi in ((0.0, peak), (peak, math.pi)):
-            if hi <= lo:
-                continue
-            res = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=300, full_output=1)
-            val += res[0]
-            abserr += res[1]
-        if abserr > max(1e-10, 1e-8 * abs(val)):
+        log_lam = -beta / (1.0 - beta) * np.log(xs)
+        # x so small that pdf and 1 - sf vanish below any tolerance
+        saturated = log_lam + math.log(_kernel_min(beta)) > _LOG_SATURATED
+        out = np.where(saturated, float(kind == "sf"), 0.0)
+        todo = np.flatnonzero(~saturated)
+        log_lam = log_lam[todo, None]
+        scale = (beta / ((1.0 - beta) * xs[todo]) if kind == "pdf" else np.ones(todo.size)) / math.pi
+        peak = _peak_theta(log_lam, beta)
+        lo, width = np.stack([np.zeros_like(peak), peak]), np.stack([peak, math.pi - peak])  # two sides
+        value = change = None
+        for level in _TS_LEVELS:
+            if not todo.size:
+                break
+            left, weight = _ts_nodes(level, value is not None)
+            with np.errstate(over="ignore"):
+                log_z = log_lam + _log_kernel(lo + width * left, beta)
+                f = np.exp(log_z - np.exp(log_z)) if kind == "pdf" else -np.expm1(-np.exp(log_z))
+            # each point summed along its own row, so its bits do not depend on the batch
+            new = scale * ((f * weight).sum(axis=2) * width[..., 0]).sum(axis=0)
+            if value is not None:
+                new += 0.5 * value
+                change = np.abs(new - value)
+                done = change <= _RULE_TOL
+                out[todo[done]] = new[done]
+                todo, log_lam, scale, new, change = (a[~done] for a in (todo, log_lam, scale, new, change))
+                lo, width = lo[:, ~done], width[:, ~done]
+            value = new
+        if todo.size:
             raise NumericalError(
-                f"stable {kind} quadrature did not converge at x={x:g}, beta={self.beta:g}",
-                achieved=abserr,
+                f"stable {kind} kernel rule did not converge at x={xs[todo[0]]:g}, beta={beta:g}",
+                achieved=float(change.max()),
             )
-        return val
+        return out

@@ -50,26 +50,34 @@ class TestInputs:
         assert inputs.vstar == real(inputs.portfolio, 1.5, 0.8)
         assert len(calls) == 1
 
-    def test_cli_asymptotics_do_not_import_quadrature(self):
-        # SciPy is needed only by the stable law's quadrature fallback, which
-        # none of these rows reaches: no scipy module is imported at all
+    def test_cli_runs_with_scipy_blocked(self):
+        # SciPy is a test-only dependency: with every scipy import made to
+        # fail, the CLI still runs asymptotic rows, every estimator, and two
+        # importance rows whose splice weights reach the stable law's kernel
+        # rule (x0 = 0.1 at 121 points; alpha = 1.001)
         runs = [
             ["estimate", "--method", "naive", "--method", "importance", "--method",
              "conditional", "--asymptotic", "--m", "200"],
             ["es", "--m", "200"],
             ["asymptotic", "--es"],
+            ["estimate", "--method", "importance", "--alpha", "1.5", "--x0", "0.1", "--m", "3000",
+             "--seed", "1"],
+            ["estimate", "--method", "importance", "--alpha", "1.001", "--n", "50", "--b", "0.3",
+             "--m", "500"],
         ]
         code = (
-            "import sys, contextlib, io, archcredit.cli as cli\n"
+            "import sys, contextlib, io\n"
+            "sys.modules['scipy'] = None\n"
+            "import archcredit.cli as cli\n"
             f"runs = {runs!r}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(argv) for argv in runs]\n"
-            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print(codes)\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={"PYTHONPATH": src})
-        assert out.stdout.strip() == "[0, 0, 0] []"
+        assert out.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 class TestUpperGamma:

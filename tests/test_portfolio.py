@@ -229,8 +229,11 @@ class TestThresholdIndex:
             model_k(homog, 1.0 - 1e-13)
 
     def test_heterogeneous_exposures_deferred(self, two_group):
-        # mixed exposures: the index is found per replication
+        # mixed exposures, or equal ones over two groups: the index is found
+        # per replication
         assert model_k(two_group, 0.5) is None
+        equal = Portfolio([SubPortfolio(1.0, 0.5, 300), SubPortfolio(1.0, 0.8, 200)])
+        assert model_k(equal, 0.5) is None
 
     def test_large_exposures_snap_in_loss_units(self):
         # n*b is 5 below 3c: three defaults exceed it, as exceeds() says;

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erf, gammaln
 
@@ -230,13 +231,16 @@ class TestSeriesTruncation:
     def test_full_series_accepted_only_within_tolerance(self):
         # at beta = 0.99 the terms near x = 1 fall by a ratio close to 1, so
         # ten times the last terms underestimates the left-out tail; a point
-        # the series cannot certify goes to the quadrature
-        law = PositiveStableLaw(0.99)
-        xs = np.linspace(0.97, 1.05, 33)
-        for kind in ("sf", "pdf"):
-            got = getattr(law, kind)(xs)
-            for x, g in zip(xs, got):
-                assert abs(g - series_oracle(0.99, x, kind)[0]) <= 1e-10, (kind, x)
+        # the series cannot certify goes to the kernel rule.  At beta =
+        # 1/1.001 the density reaches 23, so a relative 1e-8 would not do
+        for beta, xs in ((0.99, np.linspace(0.97, 1.05, 33)),
+                         (1 / 1.001, np.linspace(1.0, 1.06, 61))):
+            law = PositiveStableLaw(beta)
+            for kind in ("sf", "pdf"):
+                assert not law._series_eval(xs, kind)[1].all()
+                got = getattr(law, kind)(xs)
+                for x, g in zip(xs, got):
+                    assert abs(g - series_oracle(beta, x, kind)[0]) <= 1e-10, (beta, kind, x)
 
     @pytest.mark.parametrize("beta", BETAS + [0.99, 0.999])
     def test_envelope_ratio_bound_holds_past_the_table(self, beta):
@@ -246,6 +250,77 @@ class TestSeriesTruncation:
             j = np.arange(stable_mod._SERIES_TERMS + 2, 200_000, dtype=float)
             g = gammaln((j + 1.0) * beta + delta) - gammaln(j * beta + delta) - np.log(j + 1.0)
             assert g.max() <= PositiveStableLaw(beta)._series[kind].log_ratio_sup[-1], kind
+
+
+def kernel_oracle(beta, x, kind):
+    """The kernel integral of the density or survival at x by SciPy's
+    adaptive quad, split where lam a(theta) = 1 (found by brentq)."""
+    log_lam = -beta / (1.0 - beta) * math.log(x)
+
+    def log_z(theta):
+        return log_lam + (math.log(math.sin((1.0 - beta) * theta))
+                          + beta / (1.0 - beta) * math.log(math.sin(beta * theta))
+                          - 1.0 / (1.0 - beta) * math.log(math.sin(theta)))
+
+    def integrand(theta):
+        lz = log_z(theta)
+        if kind == "sf":
+            return 1.0 / math.pi if lz > 700.0 else -math.expm1(-math.exp(lz)) / math.pi
+        pref = beta / ((1.0 - beta) * math.pi * x)
+        return 0.0 if lz > 700.0 else pref * math.exp(lz - math.exp(lz))
+
+    ends = (1e-12, math.pi - 1e-12)
+    cuts = [brentq(log_z, *ends, xtol=1e-14)] if log_z(ends[0]) < 0.0 < log_z(ends[1]) else []
+    edges = [0.0] + cuts + [math.pi]
+    return sum(quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+# PR 7's log grid and a finer one over the body of the law
+KERNEL_GRID = np.unique(np.concatenate([np.logspace(-2, 16, 1801), np.logspace(-3, 3, 6001)]))
+
+
+def series_rejected(law, xs, kind):
+    """The points of xs that the series cannot certify, chunk by chunk."""
+    step = stable_mod._CHUNK
+    ok = np.concatenate([law._series_eval(xs[i : i + step], kind)[1] for i in range(0, xs.size, step)])
+    return xs[~ok]
+
+
+class TestKernelRule:
+    @pytest.mark.parametrize("beta", [1 / 3, 1 / 2, 2 / 3, 0.8, 10 / 11, 0.99, 1 / 1.001])
+    def test_matches_quad_within_tolerance(self, beta):
+        # every point the series rejects gets a value; a strided subset of
+        # them, plus the largest density, is held to the quad oracle
+        law = PositiveStableLaw(beta)
+        for kind in ("sf", "pdf"):
+            xs = series_rejected(law, KERNEL_GRID, kind)
+            got = getattr(law, kind)(xs)
+            assert np.all(np.isfinite(got))
+            picks = set(range(0, xs.size, 7)) | {int(np.argmax(got))} if xs.size else set()
+            for i in sorted(picks):
+                assert abs(got[i] - kernel_oracle(beta, xs[i], kind)) <= 1e-10, (kind, xs[i])
+
+    def test_no_point_raises_near_index_one(self):
+        # every point the series rejects at alpha = 1.0005 gets a value; the
+        # survival stays a survival across them
+        law = PositiveStableLaw(1 / 1.0005)
+        xs = series_rejected(law, KERNEL_GRID, "sf")
+        sf = law.sf(xs)
+        assert xs.size > 3000 and np.all(sf >= 0.0) and np.all(sf <= 1.0)
+        assert np.all(np.diff(sf) <= 1e-12)
+        xs = series_rejected(law, KERNEL_GRID, "pdf")
+        assert xs.size > 3000 and np.all(law.pdf(xs) >= 0.0)
+
+    @pytest.mark.parametrize("kind", ["sf", "pdf"])
+    def test_level_cap_raises(self, kind, monkeypatch):
+        # at beta = 1/1.001 and x = 1 two levels do not agree within 1e-10
+        monkeypatch.setattr(stable_mod, "_TS_LEVELS", (3, 4))
+        law = PositiveStableLaw(1 / 1.001)
+        assert not law._series_eval(np.array([1.0]), kind)[1][0]
+        with pytest.raises(NumericalError, match="did not converge") as caught:
+            getattr(law, kind)(1.0)
+        assert caught.value.achieved > 1e-10
 
 
 class TestSeriesTables:
