@@ -6,10 +6,11 @@ large portfolio losses and the expected shortfall.
 """
 
 from .asymptotics import (
-    AsymptoticInputs,
     expected_shortfall_asymptotic,
     homogeneous_shortfall_asymptotic,
     homogeneous_tail_asymptotic,
+    limiting_mean_loss,
+    solve_vstar,
     tail_probability_asymptotic,
 )
 from .errors import EstimationError, NumericalError
@@ -26,19 +27,11 @@ from .estimators import (
     replicate,
     run_tail_estimate,
 )
-from .portfolio import (
-    DefaultScale,
-    LossModel,
-    Portfolio,
-    SubPortfolio,
-    limiting_mean_loss,
-    solve_vstar,
-)
+from .portfolio import DefaultScale, LossModel, Portfolio, SubPortfolio
 from .rng import RngStream
 from .stable import PositiveStableLaw
 
 __all__ = [
-    "AsymptoticInputs",
     "DefaultScale",
     "EstimateReport",
     "EstimationError",

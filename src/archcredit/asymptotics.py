@@ -1,32 +1,37 @@
 """Deterministic sharp approximations for large-loss probability and expected
-shortfall, plus closed forms for equal-parameter portfolios used as oracles.
+shortfall, the limiting loss curve they invert, and closed forms for
+equal-parameter portfolios used as oracles.
 
+The limiting mean loss per obligor at normalized mixture value v is
+r(v) = sum_j c_j w_j (1 - exp(-v l_j**alpha)); vstar is the v with r(v) = b.
 The tail probability of the per-obligor loss exceeding level b decays like
-``f_n * vstar**(-1/alpha) / Gamma(1 - 1/alpha)`` where vstar inverts the
-limiting loss curve at b; the conditional mean loss beyond the threshold
-grows linearly in portfolio size with slope ``psi(alpha, b)``.  For finitely
-many groups psi has the closed form
+``f_n * vstar**(-1/alpha) / Gamma(1 - 1/alpha)``; the conditional mean loss
+beyond the threshold grows linearly in portfolio size with slope
+``psi(alpha, b)``.  For finitely many groups psi has the closed form
 
     psi = b + vstar**(1/alpha) * sum_j c_j w_j l_j GammaUpper(1 - 1/alpha, vstar l_j**alpha)
 
 with GammaUpper the (non-regularized) upper incomplete gamma function, so
-neither approximation needs quadrature; vstar is solved once per set of
-inputs and shared by both.  Gamma is ``math.gamma``, and GammaUpper, needed
-only for 0 < s < 1, is evaluated here (``_upper_gamma``), so this module
-imports no SciPy.
+neither approximation needs quadrature.  Both take a
+:class:`~archcredit.portfolio.LossModel`, which solves vstar once and shares
+it.  Gamma is ``math.gamma``, and GammaUpper, needed only for 0 < s < 1, is
+evaluated here (``_upper_gamma``), so this module imports no SciPy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError
-from .portfolio import DefaultScale, Portfolio, check_model, solve_vstar
 
+if TYPE_CHECKING:
+    from .portfolio import LossModel, Portfolio
+
+_VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar
 _EPS = 2.0**-52  # relative stop of the gamma series and continued fraction
 _CF_FROM = 3.0  # GammaUpper(s, x) by the continued fraction for x >= this, else by the series
 # cap on series terms and fraction steps; for 0 < s < 1 neither takes more
@@ -98,33 +103,59 @@ def _gamma_less_pole(s: float) -> float:
     return _upper_gamma_cf(s, _CF_FROM) + _lower_gamma_less_pole(s, _CF_FROM)
 
 
-@dataclass(frozen=True)
-class AsymptoticInputs:
-    portfolio: Portfolio
-    alpha: float
-    scale: DefaultScale
-    b: float
+def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
+    """Large-portfolio mean loss per obligor at normalized mixture value v.
 
-    def __post_init__(self):
-        check_model(self.portfolio, self.alpha, self.scale, self.b)
-
-    @cached_property
-    def f_n(self) -> float:
-        return self.scale.resolve(self.portfolio.n)
-
-    @cached_property
-    def vstar(self) -> float:
-        """The v with r(v) = b, solved on first use."""
-        return solve_vstar(self.portfolio, self.alpha, self.b)
+    r(v) = sum_j c_j w_j (1 - exp(-v l_j**alpha)); strictly increasing from 0
+    to the mean exposure.
+    """
+    if not v >= 0.0:
+        raise ValueError(f"v must be nonnegative, got {v}")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"tail index must be finite and exceed 1, got {alpha}")
+    w = pf.weights
+    c = pf.exposures
+    l_a = pf.pd_scales**alpha
+    return float(np.dot(c * w, -np.expm1(-v * l_a)))
 
 
-def tail_probability_asymptotic(inputs: AsymptoticInputs) -> float:
+def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
+    """Invert the limiting loss curve: the unique v with r(v) = b.
+
+    Bracketing bisection with doubling; tolerance 1e-12 of the mean exposure
+    in r-units, else NumericalError.
+    """
+    cbar = pf.mean_exposure
+    if not 0.0 < b < cbar:
+        raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")
+    hi = 1.0
+    while limiting_mean_loss(pf, alpha, hi) <= b:
+        hi *= 2.0
+        if hi > 1e308:
+            raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
+    lo = 0.0
+    tol = 1e-12 * cbar
+    for _ in range(_VSTAR_STEPS):
+        mid = 0.5 * (lo + hi)
+        r = limiting_mean_loss(pf, alpha, mid)
+        if abs(r - b) <= tol:
+            return mid
+        if r < b:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericalError(
+        f"bisection for v* at b={b} did not converge in {_VSTAR_STEPS} steps", achieved=abs(r - b)
+    )
+
+
+def tail_probability_asymptotic(model: LossModel) -> float:
     """Leading-order approximation of P(per-obligor loss > b)."""
-    a = inputs.alpha
-    return inputs.f_n * inputs.vstar ** (-1.0 / a) / math.gamma(1.0 - 1.0 / a)
+    a = model.alpha
+    return model.f_n * model.vstar ** (-1.0 / a) / math.gamma(1.0 - 1.0 / a)
 
 
-def expected_shortfall_asymptotic(inputs: AsymptoticInputs) -> float:
+def expected_shortfall_asymptotic(model: LossModel) -> float:
     """Leading-order conditional mean loss given the exceedance, scaled by n.
 
     Returns n * psi with psi = b + vstar**(1/alpha) times the integral of
@@ -132,12 +163,12 @@ def expected_shortfall_asymptotic(inputs: AsymptoticInputs) -> float:
     group j's term of r'(v) = sum_j c_j w_j l_j**alpha exp(-v l_j**alpha)
     turns the integral into sum_j c_j w_j l_j GammaUpper(1 - 1/alpha, vstar l_j**alpha).
     """
-    pf = inputs.portfolio
-    vstar = inputs.vstar
-    s = 1.0 - 1.0 / inputs.alpha
-    upper = np.array([_upper_gamma(s, x) for x in (vstar * pf.pd_scales**inputs.alpha).tolist()])
+    pf = model.portfolio
+    vstar = model.vstar
+    s = 1.0 - 1.0 / model.alpha
+    upper = np.array([_upper_gamma(s, x) for x in (vstar * pf.pd_scales**model.alpha).tolist()])
     integral = float((pf.exposures * pf.weights * pf.pd_scales * upper).sum())
-    return pf.n * (inputs.b + vstar ** (1.0 / inputs.alpha) * integral)
+    return pf.n * (model.b + vstar ** (1.0 / model.alpha) * integral)
 
 
 def homogeneous_tail_asymptotic(alpha: float, f_n: float, b: float, l: float, c: float) -> float:

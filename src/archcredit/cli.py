@@ -15,7 +15,8 @@ recovers them exactly.  ``runtime_ms`` is left empty unless ``--timings`` is
 given, keeping re-runs with the same seed byte-identical.
 
 Every command (``estimate``, ``es``, ``asymptotic`` and the ``table``
-presets) plans one row per (alpha, n, b, method) of its grid, a Monte Carlo
+presets) plans one row per (alpha, n, b, method) of its grid, the rows of one
+(alpha, n, b) point sharing its one validated ``LossModel`` and a Monte Carlo
 row i with seed ``seed + i``, and then computes the rows in order.  A bad
 configuration, an output file that cannot be opened included, fails before any
 row runs (exit 2); a row whose computation fails leaves the value fields it
@@ -37,14 +38,10 @@ import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .asymptotics import (
-    AsymptoticInputs,
-    expected_shortfall_asymptotic,
-    tail_probability_asymptotic,
-)
+from .asymptotics import expected_shortfall_asymptotic, tail_probability_asymptotic
 from .errors import EstimationError, NumericalError
 from .estimators import _KINDS, EstimatorConfig, is_expected_shortfall, run_tail_estimate
-from .portfolio import DefaultScale, Portfolio, SubPortfolio
+from .portfolio import DefaultScale, LossModel, Portfolio, SubPortfolio
 
 COLUMNS = (
     "method",
@@ -277,12 +274,12 @@ def _log(msg: str) -> None:
 
 @dataclass
 class _Task:
-    """One planned report row: its method, the inputs of its (alpha, n, b)
+    """One planned report row: its method, the model of its (alpha, n, b)
     point, the run config of a Monte Carlo row, and whether the row carries
     the asymptotic column."""
 
     method: str
-    point: AsymptoticInputs
+    point: LossModel
     config: EstimatorConfig | None
     asymptotic: bool
 
@@ -341,8 +338,8 @@ _PRESETS = {
 def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
     """One task per (alpha, n, b, method) of the command's grid, in row order.
 
-    The rows of one (alpha, n, b) point share its validated AsymptoticInputs;
-    a Monte Carlo row also gets a validated run config with seed
+    The rows of one (alpha, n, b) point share its validated LossModel, and
+    so its one v*; a Monte Carlo row also gets a validated run config with seed
     ``seed + row index``.  Nothing is computed here.  A setting in ``given``
     (set by a flag or a config key) that the command's preset or a groups
     config fixes is a ConfigError.
@@ -362,7 +359,7 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
             pf = _portfolio(settings, n)
             for b in settings.b or [0.8]:
                 where = f"alpha={alpha}, n={pf.n}, b={b}"
-                point = _checked(where, AsymptoticInputs, pf, alpha, scale, b)
+                point = _checked(where, LossModel, pf, alpha, scale, b)
                 for method in methods:
                     config = None
                     if not method.startswith("asymptotic_"):

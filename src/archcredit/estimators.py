@@ -41,6 +41,7 @@ from .stable import PositiveStableLaw
 
 B = 64  # replications per block; block j draws from RngStream(seed).substream(j)
 _TWIST_STEPS = 200  # cap on the bracket doublings and on the Newton steps of the twist solve
+_LOG_V_CERTAIN = 700.0  # some default must be certain at V = exp(this); see EstimatorConfig
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,19 @@ class EstimatorConfig:
         if not 0.0 < self.x0 < math.inf:
             raise ValueError(f"splice point x0 must be positive and finite, got {self.x0}")
         model = self.model
-        if self.kind == "importance":
-            if not model.phi_f < 1.0:
-                raise ValueError(
-                    f"splice tail shape undefined: phi(1 - f_n)={model.phi_f} >= 1; "
-                    "the default scale is too large for importance sampling"
-                )
+        # p_j(V) = 1 - exp(-V phi_j) rounds to 1 once V phi_j >= 40; a phi_j so
+        # small that this takes V beyond exp(_LOG_V_CERTAIN), near the float
+        # range, has underflowed in all but name, and every estimate would read 0
+        if min(model.phis) * math.exp(_LOG_V_CERTAIN) < 40.0:
+            raise ValueError(
+                f"smallest phi(1 - l_j f_n) = {min(model.phis):g} underflows: no mixing draw "
+                f"makes a default certain (alpha={self.alpha}, f_n={model.f_n:g})"
+            )
+        if self.kind == "importance" and not model.phi_f < 1.0:
+            raise ValueError(
+                f"splice tail shape undefined: phi(1 - f_n)={model.phi_f} >= 1; "
+                "the default scale is too large for importance sampling"
+            )
 
     @functools.cached_property
     def model(self) -> LossModel:

@@ -1,6 +1,6 @@
-"""Credit portfolio model: obligor groups, default-probability scale, the
-Gumbel-copula loss model, and the limiting loss curve whose inverse locates
-the systemic-risk threshold.
+"""Credit portfolio model: obligor groups, default-probability scale, and the
+Gumbel-copula loss model, the one validated object of an (alpha, n, b) point
+that both the asymptotic approximations and the estimators read.
 
 A portfolio is a finite union of homogeneous sub-portfolios; group j holds
 ``count_j`` obligors, each with exposure ``exposure_j`` and marginal default
@@ -23,11 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError
+# the limiting loss curve and its inverse live beside the approximations that
+# read v*, whose module docstring defines them; the model only solves it
+from .asymptotics import solve_vstar
 
 LOSS_EPS = 1e-9  # "loss exceeds n*b" means loss > n*b + LOSS_EPS; snaps integer boundaries
-_VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar
-_LOG_V_CERTAIN = 700.0  # some default must be certain at V = exp(this); see LossModel
 
 
 def _phi_near_one(alpha: float, eps: float) -> float:
@@ -170,44 +170,55 @@ def check_model(pf: Portfolio, alpha: float, scale: DefaultScale, b: float) -> f
 
 
 class LossModel:
-    """The conditional default model that every estimator simulates.
+    """The one validated model of an (alpha, n, b) point: the asymptotic
+    approximations read its v*, and every estimator simulates it.
 
     Given the raw mixing variable V, a group-j obligor defaults independently
     with probability p_j(V) = 1 - exp(-V * phi(1 - l_j f_n)), and the loss
-    event is loss > n*b.  Built once per EstimatorConfig, which validates
-    it; its methods take one value or an array of replications.
+    event is loss > n*b.  v* and the members only the estimators read are
+    computed on first use; the methods take one value or an array of
+    replications.
     """
 
     def __init__(self, pf: Portfolio, alpha: float, scale: DefaultScale, b: float):
         self.f_n = check_model(pf, alpha, scale, b)
+        self.portfolio = pf
+        self.alpha = alpha
+        self.b = b
         self.n = pf.n
         self.nb = pf.n * b
         self.counts = pf.counts
         self.exposures = pf.exposures
         self.phi_f = _phi_near_one(alpha, self.f_n)  # phi(1 - f_n), read by importance sampling
         self.phis = _read_only([_phi_near_one(alpha, pd * self.f_n) for pd in pf.pd_scales])
-        # p_j(V) = 1 - exp(-V phi_j) rounds to 1 once V phi_j >= 40; a phi_j so
-        # small that this takes V beyond exp(_LOG_V_CERTAIN), near the float
-        # range, has underflowed in all but name
-        if min(self.phis) * math.exp(_LOG_V_CERTAIN) < 40.0:
-            raise ValueError(
-                f"smallest phi(1 - l_j f_n) = {min(self.phis):g} underflows: no mixing draw "
-                f"makes a default certain (alpha={alpha}, f_n={self.f_n:g})"
-            )
         if not self.exceeds(pf.total_exposure):
             raise ValueError(
                 f"loss level unattainable: n*b={self.nb} >= total exposure {pf.total_exposure}"
             )
-        # per-obligor columns, in group order
-        self.obligor_phis = _read_only(np.repeat(self.phis, self.counts))
-        self.obligor_exposures = _read_only(np.repeat(self.exposures, self.counts))
-        # the index of the default that tips the loss into the event, read by
-        # the single-group order-statistic draw; other portfolios find it per
-        # replication
-        self.k = None
-        if len(self.counts) == 1:
-            losses = np.arange(1, self.n + 1) * self.exposures[0]
-            self.k = int(np.count_nonzero(~self.exceeds(losses))) + 1
+
+    @cached_property
+    def vstar(self) -> float:
+        """The v with r(v) = b, solved on first use."""
+        return solve_vstar(self.portfolio, self.alpha, self.b)
+
+    # per-obligor columns, in group order
+    @cached_property
+    def obligor_phis(self) -> np.ndarray:
+        return _read_only(np.repeat(self.phis, self.counts))
+
+    @cached_property
+    def obligor_exposures(self) -> np.ndarray:
+        return _read_only(np.repeat(self.exposures, self.counts))
+
+    @cached_property
+    def k(self) -> int | None:
+        """The index of the default that tips the loss into the event, read by
+        the single-group order-statistic draw; None for other portfolios,
+        which find it per replication."""
+        if len(self.counts) != 1:
+            return None
+        losses = np.arange(1, self.n + 1) * self.exposures[0]
+        return int(np.count_nonzero(~self.exceeds(losses))) + 1
 
     def default_probs(self, v) -> np.ndarray:
         """p_j(v) for every group, along a new last axis of v's shape;
@@ -217,47 +228,3 @@ class LossModel:
     def exceeds(self, loss):
         """The loss event, for one loss or elementwise for an array of losses."""
         return loss > self.nb + LOSS_EPS
-
-
-def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
-    """Large-portfolio mean loss per obligor at normalized mixture value v.
-
-    r(v) = sum_j c_j w_j (1 - exp(-v l_j**alpha)); strictly increasing from 0
-    to the mean exposure.
-    """
-    if v < 0.0:
-        raise ValueError(f"v must be nonnegative, got {v}")
-    w = pf.weights
-    c = pf.exposures
-    l_a = pf.pd_scales**alpha
-    return float(np.dot(c * w, -np.expm1(-v * l_a)))
-
-
-def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
-    """Invert the limiting loss curve: the unique v with r(v) = b.
-
-    Bracketing bisection with doubling; tolerance 1e-12 of the mean exposure
-    in r-units, else NumericalError.
-    """
-    cbar = pf.mean_exposure
-    if not 0.0 < b < cbar:
-        raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")
-    hi = 1.0
-    while limiting_mean_loss(pf, alpha, hi) <= b:
-        hi *= 2.0
-        if hi > 1e308:
-            raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
-    lo = 0.0
-    tol = 1e-12 * cbar
-    for _ in range(_VSTAR_STEPS):
-        mid = 0.5 * (lo + hi)
-        r = limiting_mean_loss(pf, alpha, mid)
-        if abs(r - b) <= tol:
-            return mid
-        if r < b:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError(
-        f"bisection for v* at b={b} did not converge in {_VSTAR_STEPS} steps", achieved=abs(r - b)
-    )

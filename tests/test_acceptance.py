@@ -17,9 +17,9 @@ from scipy.special import erf
 
 import archcredit
 from archcredit import (
-    AsymptoticInputs,
     DefaultScale,
     EstimatorConfig,
+    LossModel,
     Portfolio,
     PositiveStableLaw,
     RngStream,
@@ -111,7 +111,7 @@ def table4_runs():
 
 def test_criterion_1_tail_asymptotic_size_sweep():
     got = {
-        n: tail_probability_asymptotic(AsymptoticInputs(pf_homog(n), 1.5, SCALE, 0.8))
+        n: tail_probability_asymptotic(LossModel(pf_homog(n), 1.5, SCALE, 0.8))
         for n in TABLE4_SIZES
     }
     ok = all(float(f"{got[n]:.4g}") == TABLE4_ASYM[n] for n in TABLE4_SIZES)
@@ -124,7 +124,7 @@ def test_criterion_1_tail_asymptotic_size_sweep():
 
 def test_criterion_2_shortfall_asymptotic_two_paths():
     general_vals = {
-        n: expected_shortfall_asymptotic(AsymptoticInputs(pf_homog(n), 1.5, SCALE, 0.8))
+        n: expected_shortfall_asymptotic(LossModel(pf_homog(n), 1.5, SCALE, 0.8))
         for n in TABLE5_ASYM
     }
     closed_vals = {n: homogeneous_shortfall_asymptotic(1.5, 0.8, 1.0, n) for n in TABLE5_ASYM}

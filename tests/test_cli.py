@@ -161,10 +161,15 @@ class TestEstimateCommand:
             assert code == 2
             assert out == ""
             assert what in err
-        code, out, err = run_cli(capsys, "asymptotic", "--n", "1", "--scale", "log-reciprocal",
-                                 "--b", "0.5")
-        assert (code, out) == (2, "")
-        assert "default scale" in err
+        for argv, what in (
+            (["--n", "1", "--scale", "log-reciprocal", "--b", "0.5"], "default scale"),
+            # the asymptotic rows share the model's gate: its loss event cannot
+            # exceed a level this close to the total exposure
+            (["--n", "100", "--b", "0.99999999999999"], "unattainable"),
+        ):
+            code, out, err = run_cli(capsys, "asymptotic", *argv)
+            assert (code, out) == (2, "")
+            assert what in err
 
     def test_two_replication_row_fills_every_value(self, capsys):
         # the first mc-mix row cut to m = 2, as perfbench/run.py runs it for

@@ -12,6 +12,7 @@ import csv
 import io
 
 import archcredit.cli as cli
+import archcredit.portfolio as portfolio
 from archcredit.errors import NumericalError
 
 COMMON = [
@@ -55,6 +56,27 @@ def test_underflowing_model_is_a_config_error(capsys):
                      "--method", "conditional", "--m", "200"])
     capsys.readouterr()
     assert code == 0
+    # the asymptotics never evaluate phi: the same model is a valid point for them
+    code = cli.main(["asymptotic", "--alpha", "100", "--n", "1000", "--es"])
+    out, _ = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0
+    assert [(r["method"], r["asymptotic"]) for r in rows] == [
+        ("asymptotic_tail", "0.00049472123469661267"), ("asymptotic_es", "999.1515840715939"),
+    ]
+
+
+def test_one_vstar_solve_per_point(capsys, monkeypatch):
+    # the rows of one (alpha, n, b) point share its model, and so its v*
+    calls = []
+    real = portfolio.solve_vstar
+    monkeypatch.setattr(portfolio, "solve_vstar", lambda *a: calls.append(a) or real(*a))
+    code = cli.main(["asymptotic", "--n", "100", "--n", "500", "--b", "0.5", "--b", "0.8", "--es"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 8
+    assert sorted((pf.n, b) for pf, _, b in calls) == [(100, 0.5), (100, 0.8), (500, 0.5),
+                                                      (500, 0.8)]
 
 
 def test_asymptotic_failure_fails_only_its_row(capsys, monkeypatch):

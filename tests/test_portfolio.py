@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import archcredit.asymptotics as asymptotics
 import archcredit.portfolio as portfolio
 from archcredit import (
     DefaultScale,
@@ -149,13 +150,25 @@ class TestLimitingMeanLoss:
         assert limiting_mean_loss(homog, 1.5, 4.552177847123493) == pytest.approx(0.8, abs=1e-9)
 
     @given(v=st.tuples(st.floats(0.001, 50.0), st.floats(0.001, 50.0)))
+    @example(v=(49.99999999999999, 50.0))  # adjacent floats: r rounds to the same value
     @settings(max_examples=60, deadline=None)
     def test_strictly_increasing(self, v):
+        # r never falls; it rises in floating point once the step is not lost
+        # to rounding (1e-6 relative: at v = 50 the values then differ by 2.2e-13)
         pf = Portfolio([SubPortfolio(1.0, 0.5, 300), SubPortfolio(2.0, 0.8, 200)])
         v1, v2 = sorted(v)
-        if v1 == v2:
-            return
-        assert limiting_mean_loss(pf, 1.5, v1) < limiting_mean_loss(pf, 1.5, v2)
+        r1, r2 = limiting_mean_loss(pf, 1.5, v1), limiting_mean_loss(pf, 1.5, v2)
+        assert r1 <= r2
+        if v2 - v1 >= 1e-6 * v2:
+            assert r1 < r2
+
+    def test_non_finite_inputs_rejected(self, two_group):
+        for v in (-1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="v must be nonnegative"):
+                limiting_mean_loss(two_group, 1.5, v)
+        for alpha in (1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tail index must be finite and exceed 1"):
+                limiting_mean_loss(two_group, alpha, 1.0)
 
 
 class TestSolveVstar:
@@ -188,7 +201,7 @@ class TestSolveVstar:
         assert solve_vstar(homog, 1.5, 1e-9) < 1e-7
 
     def test_step_cap_raises(self, homog, monkeypatch):
-        monkeypatch.setattr(portfolio, "_VSTAR_STEPS", 1)
+        monkeypatch.setattr(asymptotics, "_VSTAR_STEPS", 1)
         with pytest.raises(NumericalError, match="did not converge") as info:
             solve_vstar(homog, 1.5, 0.8)
         assert info.value.achieved > 1e-12
@@ -198,6 +211,11 @@ class TestSolveVstar:
             solve_vstar(homog, 1.5, 1.5)
         with pytest.raises(ValueError):
             solve_vstar(homog, 1.5, 0.0)
+        with pytest.raises(ValueError, match="loss level"):
+            solve_vstar(homog, 1.5, math.nan)
+        for alpha in (math.nan, math.inf, 1.0):
+            with pytest.raises(ValueError, match="tail index must be finite and exceed 1"):
+                solve_vstar(homog, alpha, 0.5)
 
 
 def model_k(pf, b):

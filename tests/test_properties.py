@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from archcredit import (
-    AsymptoticInputs,
     DefaultScale,
     EstimatorConfig,
+    LossModel,
     Portfolio,
     SubPortfolio,
     expected_shortfall_asymptotic,
@@ -77,7 +77,7 @@ def test_expected_shortfall_lies_between_level_and_total_exposure(desk):
     total = sum(g.count * g.exposure for g in pf.groups)
     es = is_expected_shortfall(config(*desk, "importance")).estimate
     assert nb <= es <= total
-    asym = expected_shortfall_asymptotic(AsymptoticInputs(pf, alpha, DefaultScale.constant(f), b))
+    asym = expected_shortfall_asymptotic(LossModel(pf, alpha, DefaultScale.constant(f), b))
     assert nb <= asym <= total
 
 
@@ -90,7 +90,7 @@ def test_asymptotic_tail_monotone_in_level_and_default_scale(desk, u, v):
     (b_lo, b_hi), (f_lo, f_hi) = sorted((u * cbar, v * cbar)), sorted((f, f * u))
 
     def tail(f_n, b):
-        return tail_probability_asymptotic(AsymptoticInputs(pf, alpha, DefaultScale.constant(f_n), b))
+        return tail_probability_asymptotic(LossModel(pf, alpha, DefaultScale.constant(f_n), b))
 
     assert tail(f, b_lo) >= tail(f, b_hi)
     assert tail(f_lo, b_lo) <= tail(f_hi, b_lo)
