@@ -364,9 +364,9 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
                     config = None
                     if not method.startswith("asymptotic_"):
                         config = _checked(
-                            f"{method} ({where})", EstimatorConfig, portfolio=pf, alpha=alpha,
-                            scale=scale, b=b, m=settings.m, seed=settings.seed + len(tasks),
-                            x0=settings.x0, kind="importance" if method in _ES else method,
+                            f"{method} ({where})", EstimatorConfig, point, m=settings.m,
+                            seed=settings.seed + len(tasks), x0=settings.x0,
+                            kind="importance" if method in _ES else method,
                         )
                     tasks.append(_Task(method, point, config, settings.asymptotic))
     fixed_given = sorted(given & ({*fixed, "alpha"} if alphas else set(fixed)))

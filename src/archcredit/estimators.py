@@ -25,7 +25,6 @@ per-replication values in index order.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
 import time
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, NumericalError
-from .portfolio import DefaultScale, LossModel, Portfolio
+from .portfolio import LossModel
 from .rng import RngStream
 from .stable import PositiveStableLaw
 
@@ -46,12 +45,9 @@ _LOG_V_CERTAIN = 700.0  # some default must be certain at V = exp(this); see Est
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Parameters of one Monte Carlo run."""
+    """Parameters of one Monte Carlo run of the point's validated model."""
 
-    portfolio: Portfolio
-    alpha: float
-    scale: DefaultScale
-    b: float
+    model: LossModel
     m: int
     seed: int
     x0: float = 1.0
@@ -74,18 +70,13 @@ class EstimatorConfig:
         if min(model.phis) * math.exp(_LOG_V_CERTAIN) < 40.0:
             raise ValueError(
                 f"smallest phi(1 - l_j f_n) = {min(model.phis):g} underflows: no mixing draw "
-                f"makes a default certain (alpha={self.alpha}, f_n={model.f_n:g})"
+                f"makes a default certain (alpha={model.alpha}, f_n={model.f_n:g})"
             )
         if self.kind == "importance" and not model.phi_f < 1.0:
             raise ValueError(
                 f"splice tail shape undefined: phi(1 - f_n)={model.phi_f} >= 1; "
                 "the default scale is too large for importance sampling"
             )
-
-    @functools.cached_property
-    def model(self) -> LossModel:
-        """The run's loss model, built once: ``__post_init__`` reads it to validate."""
-        return LossModel(self.portfolio, self.alpha, self.scale, self.b)
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,7 @@ class RunContext:
         self.model = model = config.model
         # the mixing variable V, whose Laplace transform exp(-s**(1/alpha)) is
         # the inverse Gumbel generator
-        self.law = PositiveStableLaw(1.0 / config.alpha)
+        self.law = PositiveStableLaw(1.0 / model.alpha)
 
         if config.kind == "importance":
             self.eta = -1.0 / math.log(model.phi_f)

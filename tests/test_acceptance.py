@@ -51,10 +51,7 @@ def pf_homog(n):
 
 def cfg(n, alpha, b, kind, seed, m=M, x0=1.0, scale=SCALE):
     return EstimatorConfig(
-        portfolio=pf_homog(n),
-        alpha=alpha,
-        scale=scale,
-        b=b,
+        LossModel(pf_homog(n), alpha, scale, b),
         m=m,
         seed=seed,
         x0=x0,

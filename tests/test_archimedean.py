@@ -37,8 +37,8 @@ class TestGenerator:
     def test_phi_inv_is_mixing_laplace_transform(self):
         # the inverse generator exp(-s**(1/alpha)) must equal E[exp(-s V)] for
         # the run's mixing law
-        cfg = EstimatorConfig(portfolio=Portfolio.homogeneous(10), alpha=2.0,
-                              scale=DefaultScale.reciprocal(), b=0.5, m=2, seed=0)
+        model = LossModel(Portfolio.homogeneous(10), 2.0, DefaultScale.reciprocal(), 0.5)
+        cfg = EstimatorConfig(model, m=2, seed=0)
         assert RunContext(cfg).law.beta == 0.5
         law = PositiveStableLaw(1 / 2.0)
         v = law.sample(RngStream(17), size=200_000)

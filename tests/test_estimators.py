@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from archcredit import (
     DefaultScale,
     EstimationError,
     EstimatorConfig,
+    LossModel,
     NumericalError,
     Portfolio,
     RngStream,
@@ -42,9 +44,11 @@ DESK = dict(
 
 
 def config(base=RARE, **kw):
-    args = dict(base, m=1000, seed=1, kind="conditional")
-    args.update(kw)
-    return EstimatorConfig(**args)
+    """A run config: model inputs in ``kw`` override those of ``base``, the
+    rest go to the run."""
+    inputs = {**base, **{key: kw.pop(key) for key in base.keys() & kw.keys()}}
+    model = LossModel(inputs["portfolio"], inputs["alpha"], inputs["scale"], inputs["b"])
+    return EstimatorConfig(model, **{"m": 1000, "seed": 1, "kind": "conditional", **kw})
 
 
 class TestConfig:
@@ -85,21 +89,14 @@ def solve_twist(pf, probs, b):
     return theta[0], tuple(twisted[0])
 
 
-def test_one_loss_model_per_config(monkeypatch):
-    # the config validates with the model its runs use: one build, not one
-    # per validation and one per run
-    builds = []
-    real = est_mod.LossModel
-
-    def counting(*args):
-        builds.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(est_mod, "LossModel", counting)
-    cfg = config(kind="importance", m=200)
-    run_tail_estimate(cfg)
-    is_expected_shortfall(cfg)
-    assert len(builds) == 1
+def test_one_loss_model_per_config():
+    # a config holds the point's model, and its runs and the shortfall's
+    # importance config read that model, never one of their own
+    model = LossModel(RARE["portfolio"], RARE["alpha"], RARE["scale"], RARE["b"])
+    cfg = EstimatorConfig(model, m=200, seed=1)
+    assert cfg.model is model
+    assert RunContext(cfg).model is model
+    assert dataclasses.replace(cfg, kind="importance").model is model
 
 
 class TestTwist:
@@ -268,10 +265,7 @@ class TestSpliceSampler:
         with pytest.raises(ValueError, match="phi"):
             RunContext(
                 EstimatorConfig(
-                    portfolio=pf,
-                    alpha=1.5,
-                    scale=DefaultScale.constant(0.95),
-                    b=0.1,
+                    LossModel(pf, 1.5, DefaultScale.constant(0.95), 0.1),
                     m=10,
                     seed=0,
                     kind="importance",
@@ -321,10 +315,7 @@ class TestConditionalRep:
     def test_single_obligor_unwinds_definition(self):
         pf = Portfolio.homogeneous(1, exposure=1.0, pd_scale=0.5)
         cfg = EstimatorConfig(
-            portfolio=pf,
-            alpha=1.5,
-            scale=DefaultScale.constant(0.3),
-            b=0.5,
+            LossModel(pf, 1.5, DefaultScale.constant(0.3), 0.5),
             m=10,
             seed=21,
             kind="conditional",
@@ -351,8 +342,7 @@ class TestConditionalRep:
         # row; several groups: on the block's own exponentials; one group: the
         # loop finds the tipping index k, and the block's gamma pair is E_(k)
         cfg = EstimatorConfig(
-            portfolio=pf, alpha=1.5, scale=DefaultScale.constant(0.3), b=0.6, m=10, seed=0,
-            kind="conditional",
+            LossModel(pf, 1.5, DefaultScale.constant(0.3), 0.6), m=10, seed=0, kind="conditional"
         )
         ctx = RunContext(cfg)
         model = ctx.model
@@ -452,10 +442,7 @@ class TestConditionalRep:
     def test_fast_scale_decay_warns(self):
         pf = Portfolio.homogeneous(100, pd_scale=0.5)
         cfg = EstimatorConfig(
-            portfolio=pf,
-            alpha=1.5,
-            scale=DefaultScale.constant(5e-4),  # below 1/(10 n)
-            b=0.5,
+            LossModel(pf, 1.5, DefaultScale.constant(5e-4), 0.5),  # scale below 1/(10 n)
             m=10,
             seed=0,
             kind="conditional",

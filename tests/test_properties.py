@@ -50,7 +50,7 @@ def desks(draw):
 
 
 def config(pf, alpha, f, b, seed, kind):
-    return EstimatorConfig(portfolio=pf, alpha=alpha, scale=DefaultScale.constant(f), b=b,
+    return EstimatorConfig(LossModel(pf, alpha, DefaultScale.constant(f), b),
                            m=M, seed=seed, kind=kind)
 
 
