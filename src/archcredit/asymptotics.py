@@ -122,8 +122,8 @@ def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
 def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     """Invert the limiting loss curve: the unique v with r(v) = b.
 
-    Bracketing bisection with doubling; tolerance 1e-12 of the mean exposure
-    in r-units, else NumericalError.
+    Bracketing bisection with doubling; tolerance 1e-12 of b in r-units, so
+    v* stays accurate relative to itself at small b, else NumericalError.
     """
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
@@ -134,7 +134,7 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
         if hi > 1e308:
             raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
     lo = 0.0
-    tol = 1e-12 * cbar
+    tol = 1e-12 * b
     for _ in range(_VSTAR_STEPS):
         mid = 0.5 * (lo + hi)
         r = limiting_mean_loss(pf, alpha, mid)
@@ -175,18 +175,19 @@ def homogeneous_tail_asymptotic(alpha: float, f_n: float, b: float, l: float, c:
     """Closed form of the tail asymptotic for equal-parameter portfolios."""
     if not 0.0 < b < c:
         raise ValueError(f"loss level must lie in (0, {c}), got {b}")
-    return l * f_n * math.log(c / (c - b)) ** (-1.0 / alpha) / math.gamma(1.0 - 1.0 / alpha)
+    return l * f_n * (-math.log1p(-b / c)) ** (-1.0 / alpha) / math.gamma(1.0 - 1.0 / alpha)
 
 
 def homogeneous_shortfall_asymptotic(alpha: float, b: float, c: float, n: int) -> float:
     """Closed form of the shortfall asymptotic for equal-parameter portfolios.
 
     psi = b + c * GammaUpper(1 - 1/alpha, L) * L**(1/alpha) with
-    L = ln(c / (c - b)); the pd multiplier cancels.  GammaUpper is the
-    (non-regularized) upper incomplete gamma function.
+    L = ln(c / (c - b)), taken as -log1p(-b / c); the pd multiplier
+    cancels.  GammaUpper is the (non-regularized) upper incomplete gamma
+    function.
     """
     if not 0.0 < b < c:
         raise ValueError(f"loss level must lie in (0, {c}), got {b}")
-    big_l = math.log(c / (c - b))
+    big_l = -math.log1p(-b / c)
     upper = _upper_gamma(1.0 - 1.0 / alpha, big_l)
     return n * (b + c * upper * big_l ** (1.0 / alpha))

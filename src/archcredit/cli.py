@@ -158,13 +158,15 @@ def _groups(x) -> list[dict]:
 
 
 def _listed(convert):
-    return lambda x: [convert(v) for v in (x if isinstance(x, list) else [x])]
+    def convert_list(x):
+        if x == []:  # would silently run the default
+            raise ConfigError("expected at least one value, got an empty list")
+        return [convert(v) for v in (x if isinstance(x, list) else [x])]
+    return convert_list
 
 
 def _methods(raw) -> list[str]:
     methods = _listed(_text)(raw)
-    if not methods:
-        raise ConfigError("estimator set is empty; pass at least one --method")
     unknown = [x for x in methods if x not in _KINDS]
     if unknown:
         raise ConfigError(f"unknown estimator {unknown[0]!r}")

@@ -143,6 +143,18 @@ class TestTailProbability:
         assert tail_probability_asymptotic(model) > 0.0
 
 
+@pytest.mark.parametrize("b", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_small_level_keeps_relative_accuracy(b):
+    # v* = -log1p(-b) / l**alpha for c = 1; a stop at an absolute tolerance
+    # in r, or ln(c / (c - b)), would lose its digits as b shrinks
+    model = homog_model(1000, b=b)
+    assert model.vstar == pytest.approx(-math.log1p(-b) / 0.5**1.5, rel=1e-11)
+    tail = homogeneous_tail_asymptotic(1.5, 1 / 1000, b, 0.5, 1.0)
+    assert tail_probability_asymptotic(model) == pytest.approx(tail, rel=1e-11)
+    shortfall = homogeneous_shortfall_asymptotic(1.5, b, 1.0, 1000)
+    assert expected_shortfall_asymptotic(model) == pytest.approx(shortfall, rel=1e-11)
+
+
 class TestExpectedShortfall:
     SWEEP = {50: 47.695, 100: 95.390, 250: 238.475, 500: 476.950}
 

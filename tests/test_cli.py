@@ -84,12 +84,14 @@ class TestEstimateCommand:
         assert float(rows[0]["asymptotic"]) == pytest.approx(2.718031e-4, rel=1e-6)
         assert rows[0]["discrepancy_pct"] != ""
 
-    def test_empty_method_set_is_usage_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["methods", "n", "b"])
+    def test_empty_method_set_is_usage_error(self, capsys, tmp_path, key):
+        # an empty list would silently run the default values
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"methods": []}))
-        code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
-        assert code == 2
-        assert "method" in err
+        cfg.write_text(json.dumps({key: []}))
+        code, out, err = run_cli(capsys, "estimate", "--config", str(cfg), "--m", "64")
+        assert (code, out) == (2, "")
+        assert f"config key {key!r}: expected at least one value" in err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

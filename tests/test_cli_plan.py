@@ -79,15 +79,32 @@ def test_one_vstar_solve_per_point(capsys, monkeypatch):
                                                       (500, 0.8)]
 
 
+def test_one_model_build_per_point(capsys, monkeypatch):
+    # a Monte Carlo row runs the model of its point: one validation per
+    # (alpha, n, b) point, however many rows the point has
+    calls = []
+    real = portfolio.check_model
+    monkeypatch.setattr(portfolio, "check_model", lambda *a: calls.append(a) or real(*a))
+    code = cli.main(["estimate", "--method", "importance", "--method", "conditional",
+                     "--asymptotic", "--n", "100", "--b", "0.5", "--b", "0.8", "--m", "64"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 4
+    assert [b for *_, b in calls] == [0.5, 0.8]
+    tasks = cli._plan(cli.Settings(n=[100], b=[0.5, 0.8]), "estimate", set())
+    assert len(tasks) == 4
+    assert all(task.config.model is task.point for task in tasks)
+
+
 def test_asymptotic_failure_fails_only_its_row(capsys, monkeypatch):
     real = cli.expected_shortfall_asymptotic
     calls = []
 
-    def fail_first(inputs):
-        calls.append(inputs.portfolio.n)
+    def fail_first(model):
+        calls.append(model.portfolio.n)
         if len(calls) == 1:
             raise NumericalError("injected failure")
-        return real(inputs)
+        return real(model)
 
     monkeypatch.setattr(cli, "expected_shortfall_asymptotic", fail_first)
     code = cli.main(["asymptotic", "--n", "100", "--n", "500", "--b", "0.8", "--es"])
