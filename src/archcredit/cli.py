@@ -162,6 +162,7 @@ def _listed(convert):
         if x == []:  # would silently run the default
             raise ConfigError("expected at least one value, got an empty list")
         return [convert(v) for v in (x if isinstance(x, list) else [x])]
+
     return convert_list
 
 
@@ -341,10 +342,10 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
     """One task per (alpha, n, b, method) of the command's grid, in row order.
 
     The rows of one (alpha, n, b) point share its validated LossModel, and
-    so its one v*; a Monte Carlo row also gets a validated run config with seed
-    ``seed + row index``.  Nothing is computed here.  A setting in ``given``
-    (set by a flag or a config key) that the command's preset or a groups
-    config fixes is a ConfigError.
+    so its one v*; a Monte Carlo row also gets a validated run config of that
+    model, with seed ``seed + row index``.  Nothing is computed here.  A
+    setting in ``given`` (set by a flag or a config key) that the command's
+    preset or a groups config fixes is a ConfigError.
     """
     alphas, fixed = _PRESETS[command]
     if settings.groups is not None and given & {"l", "c"}:
