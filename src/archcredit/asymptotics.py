@@ -103,33 +103,44 @@ def _gamma_less_pole(s: float) -> float:
     return _upper_gamma_cf(s, _CF_FROM) + _lower_gamma_less_pole(s, _CF_FROM)
 
 
+def _curve_columns(pf: Portfolio, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (c_j w_j, l_j**alpha) of the limiting loss curve at alpha."""
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"tail index must be finite and exceed 1, got {alpha}")
+    return pf.exposures * pf.weights, pf.pd_scales**alpha
+
+
+def _curve(cw: np.ndarray, l_a: np.ndarray, v: float) -> float:
+    """r(v) from the columns of _curve_columns."""
+    return float(np.dot(cw, -np.expm1(-v * l_a)))
+
+
 def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
     """Large-portfolio mean loss per obligor at normalized mixture value v.
 
     r(v) = sum_j c_j w_j (1 - exp(-v l_j**alpha)); strictly increasing from 0
-    to the mean exposure.
+    to the mean exposure.  It checks v and alpha, builds the columns and
+    evaluates r once; solve_vstar builds them once per solve and evaluates r
+    by the same expression, so its r agrees with this one to the bit.
     """
     if not v >= 0.0:
         raise ValueError(f"v must be nonnegative, got {v}")
-    if not 1.0 < alpha < math.inf:
-        raise ValueError(f"tail index must be finite and exceed 1, got {alpha}")
-    w = pf.weights
-    c = pf.exposures
-    l_a = pf.pd_scales**alpha
-    return float(np.dot(c * w, -np.expm1(-v * l_a)))
+    return _curve(*_curve_columns(pf, alpha), v)
 
 
 def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     """Invert the limiting loss curve: the unique v with r(v) = b.
 
-    Bracketing bisection with doubling; tolerance 1e-12 of b in r-units, so
-    v* stays accurate relative to itself at small b, else NumericalError.
+    Checks b and alpha and builds the curve's columns once per solve, then
+    bisects with doubling; tolerance 1e-12 of b in r-units, so v* stays
+    accurate relative to itself at small b, else NumericalError.
     """
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
         raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")
+    cw, l_a = _curve_columns(pf, alpha)
     hi = 1.0
-    while limiting_mean_loss(pf, alpha, hi) <= b:
+    while _curve(cw, l_a, hi) <= b:
         hi *= 2.0
         if hi > 1e308:
             raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
@@ -137,7 +148,7 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     tol = 1e-12 * b
     for _ in range(_VSTAR_STEPS):
         mid = 0.5 * (lo + hi)
-        r = limiting_mean_loss(pf, alpha, mid)
+        r = _curve(cw, l_a, mid)
         if abs(r - b) <= tol:
             return mid
         if r < b:
