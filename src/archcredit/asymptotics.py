@@ -31,7 +31,7 @@ from .errors import NumericalError
 if TYPE_CHECKING:
     from .portfolio import LossModel, Portfolio
 
-_VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar
+_VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar from its bracket [hi / 2, hi]
 _EPS = 2.0**-52  # relative stop of the gamma series and continued fraction
 _CF_FROM = 3.0  # GammaUpper(s, x) by the continued fraction for x >= this, else by the series
 # cap on series terms and fraction steps; for 0 < s < 1 neither takes more
@@ -131,9 +131,15 @@ def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
 def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     """Invert the limiting loss curve: the unique v with r(v) = b.
 
-    Checks b and alpha and builds the curve's columns once per solve, then
-    bisects with doubling; tolerance 1e-12 of b in r-units, so v* stays
-    accurate relative to itself at small b, else NumericalError.
+    Checks b and alpha and builds the curve's columns once per solve.  hi
+    doubles from 1 until r(hi) > b, then halves while r(hi / 2) > b: these
+    are the first midpoints a bisection of [0, hi] takes, and they do not
+    count against _VSTAR_STEPS, so a tiny b still converges.  The bisection
+    of [hi / 2, hi] follows.  A midpoint is returned as v* once
+    |r - b| <= 1e-12 b (r-units, so v* stays accurate relative to itself at
+    small b).  53 steps leave no float inside a bracket whose ends differ by
+    a factor of 2, so the cap is reached only when rounding keeps r from
+    the tolerance, and then NumericalError is raised.
     """
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
@@ -144,8 +150,16 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
         hi *= 2.0
         if hi > 1e308:
             raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
-    lo = 0.0
     tol = 1e-12 * b
+    while True:  # ends: r(0) = 0 < b once hi / 2 underflows
+        mid = 0.5 * hi
+        r = _curve(cw, l_a, mid)
+        if abs(r - b) <= tol:
+            return mid
+        if r < b:
+            break
+        hi = mid
+    lo = mid
     for _ in range(_VSTAR_STEPS):
         mid = 0.5 * (lo + hi)
         r = _curve(cw, l_a, mid)

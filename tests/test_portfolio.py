@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -183,22 +184,36 @@ class TestSolveVstar:
             v = solve_vstar(two_group, 1.3, b)
             assert abs(limiting_mean_loss(two_group, 1.3, v) - b) <= 1e-12 * cbar
 
-    def test_two_group_against_plain_bisection(self, two_group):
-        b = 0.77
-        alpha = 1.5
-        lo, hi = 0.0, 1.0
-        while limiting_mean_loss(two_group, alpha, hi) <= b:
-            hi *= 2
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if limiting_mean_loss(two_group, alpha, mid) < b:
-                lo = mid
-            else:
-                hi = mid
-        assert solve_vstar(two_group, alpha, b) == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+    def test_two_group_against_plain_bisection(self, homog, two_group):
+        # the solver's rule on limiting_mean_loss: hi doubles from 1, bisect
+        # [0, hi], stop at |r - b| <= 1e-12 b; the solver must return its
+        # midpoint to the bit, on one group and on two
+        for pf, alpha in itertools.product((homog, two_group), (1.1, 1.5, 2.0, 5.0)):
+            for b in (1e-9, 1e-3, 0.3, 0.77, 0.9 * pf.mean_exposure):
+                hi = 1.0
+                while limiting_mean_loss(pf, alpha, hi) <= b:
+                    hi *= 2
+                lo = 0.0
+                for _ in range(1100):
+                    mid = 0.5 * (lo + hi)
+                    r = limiting_mean_loss(pf, alpha, mid)
+                    if abs(r - b) <= 1e-12 * b:
+                        break
+                    if r < b:
+                        lo = mid
+                    else:
+                        hi = mid
+                assert solve_vstar(pf, alpha, b) == mid
 
     def test_small_b(self, homog):
         assert solve_vstar(homog, 1.5, 1e-9) < 1e-7
+
+    def test_tiny_b_relative_accuracy(self):
+        # the halvings down to v* do not count against the step cap
+        pf = Portfolio.homogeneous(1000, pd_scale=0.5)
+        for b in (1e-50, 1e-150, 1e-290):
+            want = -math.log1p(-b) / 0.5**1.5
+            assert solve_vstar(pf, 1.5, b) == pytest.approx(want, rel=1e-11)
 
     def test_step_cap_raises(self, homog, monkeypatch):
         monkeypatch.setattr(asymptotics, "_VSTAR_STEPS", 1)
