@@ -119,9 +119,10 @@ def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
     """Large-portfolio mean loss per obligor at normalized mixture value v.
 
     r(v) = sum_j c_j w_j (1 - exp(-v l_j**alpha)); strictly increasing from 0
-    to the mean exposure.  It checks v and alpha, builds the columns and
-    evaluates r once; solve_vstar builds them once per solve and evaluates r
-    by the same expression, so its r agrees with this one to the bit.
+    to the mean exposure.  Each call checks v and alpha and builds the
+    columns c_j w_j and l_j**alpha; solve_vstar checks alpha and builds them
+    once per solve and evaluates r by the same expression (_curve), so its
+    r agrees with this one to the bit.
     """
     if not v >= 0.0:
         raise ValueError(f"v must be nonnegative, got {v}")

@@ -187,7 +187,8 @@ class TestSolveVstar:
     def test_two_group_against_plain_bisection(self, homog, two_group):
         # the solver's rule on limiting_mean_loss: hi doubles from 1, bisect
         # [0, hi], stop at |r - b| <= 1e-12 b; the solver must return its
-        # midpoint to the bit, on one group and on two
+        # midpoint to the bit, on one group and on two (1 100 steps cover the
+        # exponent range of a double)
         for pf, alpha in itertools.product((homog, two_group), (1.1, 1.5, 2.0, 5.0)):
             for b in (1e-9, 1e-3, 0.3, 0.77, 0.9 * pf.mean_exposure):
                 hi = 1.0
