@@ -16,11 +16,22 @@ neither approximation needs quadrature.  Both take a
 :class:`~archcredit.portfolio.LossModel`, which solves vstar once and shares
 it.  Gamma is ``math.gamma``, and GammaUpper, needed only for 0 < s < 1, is
 evaluated here (``_upper_gamma``), so this module imports no SciPy.
+
+``solve_vstar`` bisects for vstar but evaluates r only at the probes inside
+a window [lo, hi] around it.  A few Newton steps locate vstar, and the
+window is kept only if r(lo) <= b - 2 tol and r(hi) >= b + 2 tol, with
+tol = 1e-12 b the bisection's stopping tolerance.  r is increasing and its
+computed value is far closer than tol to the true one, so a probe outside
+the window is decided without evaluating r: the probes and the result are
+those of the plain bisection to the bit.  When no window can be certified
+(b within about tol of the mean exposure, or tol subnormal) every probe is
+evaluated, as in the plain bisection.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -32,6 +43,7 @@ if TYPE_CHECKING:
     from .portfolio import LossModel, Portfolio
 
 _VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar from its bracket [hi / 2, hi]
+_NEWTON_STEPS = 24  # Newton steps allowed to _window before it gives up
 _EPS = 2.0**-52  # relative stop of the gamma series and continued fraction
 _CF_FROM = 3.0  # GammaUpper(s, x) by the continued fraction for x >= this, else by the series
 # cap on series terms and fraction steps; for 0 < s < 1 neither takes more
@@ -129,6 +141,64 @@ def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
     return _curve(*_curve_columns(pf, alpha), v)
 
 
+def _window(cw: np.ndarray, l_a: np.ndarray, b: float, tol: float) -> tuple[float, ...]:
+    """A window [lo, hi] around v* with _curve(lo) <= b - 2 tol and
+    _curve(hi) >= b + 2 tol, as (lo, _curve(lo), hi, _curve(hi)); the empty
+    window (-inf, nan, inf, nan) when that cannot be certified.
+
+    Newton steps from v = 0 locate v*.  They run on g(v) = log(cbar - r(v)),
+    the log of sum_j c_j w_j exp(-v l_j**alpha): g - g(v*) =
+    log1p((b - r) / (cbar - b)) has the root of r - b, and g is decreasing
+    and convex, so the steps climb toward v* from the left without
+    overshooting (on one group g is linear and one step lands).  They stop
+    once the step's quadratic term |g''| step**2 / 2 is below tol / 4 in
+    r-units, which leaves the last iterate well inside tol / r' of v*; the
+    window is that iterate plus or minus 4 tol / r'.  The steps run in
+    u = v * max_j l_j**alpha, so that no rate exceeds 1 and no moment
+    overflows.
+
+    The window is empty when cbar - b does not round above 0, when tol is
+    subnormal (the rounding of _curve is then not far below it), when the
+    largest rate rounds to 0 or inf, when cbar - r or the slope underflows,
+    an iterate leaves (0, inf) or the window reaches 0, and when
+    _NEWTON_STEPS steps do not stop.
+    """
+    empty = (-math.inf, math.nan, math.inf, math.nan)
+    gap = float(cw.sum()) - b
+    scale = float(l_a.max())
+    if not (gap > 0.0 and tol >= sys.float_info.min and 0.0 < scale < math.inf):
+        return empty
+    rates = l_a / scale
+    cwl = cw * rates
+    moments = np.stack((cw, cwl, cwl * rates))  # sums at exp(-u rates): cbar - r, r', -r'' in u
+    u, r = 0.0, 0.0
+    rest, slope, m2 = moments.sum(axis=1).tolist()
+    for _ in range(_NEWTON_STEPS):
+        below = (b - r) / gap
+        if not (rest > 0.0 and slope > 0.0 and below > -1.0):
+            return empty
+        g1 = slope / rest  # -g'(u)
+        step = math.log1p(below) / g1
+        u += step
+        if not 0.0 < u < math.inf:
+            return empty
+        if (m2 - slope * g1) * step * step <= 0.5 * tol:  # rest * g''(u) * step**2
+            break
+        x = -u * rates
+        r = -float(np.dot(cw, np.expm1(x)))
+        rest, slope, m2 = (moments @ np.exp(x)).tolist()
+    else:
+        return empty
+    half = 4.0 * tol / (g1 * gap)  # 4 tol / r'(u*)
+    if not half < u:
+        return empty
+    lo, hi = (u - half) / scale, (u + half) / scale
+    r_lo, r_hi = _curve(cw, l_a, lo), _curve(cw, l_a, hi)
+    if r_lo <= b - 2.0 * tol and r_hi >= b + 2.0 * tol:
+        return lo, r_lo, hi, r_hi
+    return empty
+
+
 def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     """Invert the limiting loss curve: the unique v with r(v) = b.
 
@@ -141,20 +211,37 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     small b).  53 steps leave no float inside a bracket whose ends differ by
     a factor of 2, so the cap is reached only when rounding keeps r from
     the tolerance, and then NumericalError is raised.
+
+    r is evaluated (by _curve) only at probes inside the window [lo, hi] of
+    _window.  r is increasing and _curve's relative error is far below
+    1e-12, so a probe at or below lo has r below b - tol and one at or above
+    hi has r above b + tol: there the window end's value stands in for r,
+    and each loop takes the branch that r itself would.  The probes, and so
+    the returned v*, are those of the plain bisection to the bit; with no
+    certified window every probe is evaluated.
     """
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
         raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")
     cw, l_a = _curve_columns(pf, alpha)
+    tol = 1e-12 * b
+    lo_w, r_lo, hi_w, r_hi = _window(cw, l_a, b, tol)
+
+    def curve(v: float) -> float:
+        if v <= lo_w:
+            return r_lo
+        if v >= hi_w:
+            return r_hi
+        return _curve(cw, l_a, v)
+
     hi = 1.0
-    while _curve(cw, l_a, hi) <= b:
+    while curve(hi) <= b:
         hi *= 2.0
         if hi > 1e308:
             raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
-    tol = 1e-12 * b
     while True:  # ends: r(0) = 0 < b once hi / 2 underflows
         mid = 0.5 * hi
-        r = _curve(cw, l_a, mid)
+        r = curve(mid)
         if abs(r - b) <= tol:
             return mid
         if r < b:
@@ -163,7 +250,7 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
     lo = mid
     for _ in range(_VSTAR_STEPS):
         mid = 0.5 * (lo + hi)
-        r = _curve(cw, l_a, mid)
+        r = curve(mid)
         if abs(r - b) <= tol:
             return mid
         if r < b:
@@ -171,7 +258,8 @@ def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
         else:
             hi = mid
     raise NumericalError(
-        f"bisection for v* at b={b} did not converge in {_VSTAR_STEPS} steps", achieved=abs(r - b)
+        f"bisection for v* at b={b} did not converge in {_VSTAR_STEPS} steps",
+        achieved=abs(_curve(cw, l_a, mid) - b),
     )
 
 

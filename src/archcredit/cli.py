@@ -325,12 +325,14 @@ def _checked(what: str, build, *args, **kwargs):
 _PAIR = ["importance", "conditional"]
 _ES = ["es_importance"]
 _SHORTFALL = ("es_importance", "asymptotic_es")  # rows whose asymptotic column is the shortfall
+# no Monte Carlo row: the run settings are fixed at their defaults, so giving one is an error
+_NO_RUN = dict(asymptotic=True, m=Settings.m, x0=Settings.x0)
 # per command: the alpha grid (None keeps the configured alpha) and the settings it fixes
 _PRESETS = {
     "estimate": (None, {}),
     "es": (None, dict(methods=_ES, asymptotic=True)),
-    "asymptotic": (None, dict(methods=["asymptotic_tail"], asymptotic=True)),
-    "asymptotic --es": (None, dict(methods=["asymptotic_tail", "asymptotic_es"], asymptotic=True)),
+    "asymptotic": (None, dict(methods=["asymptotic_tail"], **_NO_RUN)),
+    "asymptotic --es": (None, dict(methods=["asymptotic_tail", "asymptotic_es"], **_NO_RUN)),
     "table 2": ([1.1, 1.5, 2.0, 5.0], dict(n=[500], b=[0.8], methods=_PAIR, asymptotic=False)),
     "table 3": ([1.5], dict(n=[500], b=[0.3, 0.5, 0.7, 0.9], methods=_PAIR, asymptotic=False)),
     "table 4": ([1.5], dict(n=[100, 250, 500, 1000], b=[0.8], methods=_PAIR, asymptotic=True)),

@@ -140,6 +140,20 @@ class TestEstimateCommand:
         )
         assert {t.point.alpha for t in cli._plan(settings, "table 5", given)} == {2.0}
 
+    def test_run_setting_of_asymptotic_rejected(self, capsys, tmp_path):
+        # the asymptotics run no replications: m and x0 used to be ignored (exit 0)
+        cfg = tmp_path / "cfg.json"
+        for es in ([], ["--es"]):
+            for key, value in (("m", 1), ("x0", -5)):
+                cfg.write_text(json.dumps({key: value}))
+                for argv in ([f"--{key}", str(value)], ["--config", str(cfg)]):
+                    code, out, err = run_cli(capsys, "asymptotic", *argv, *es)
+                    assert (code, out) == (2, "")
+                    assert f"fixes {key};" in err
+        # the seed is still taken, and the rows do not read it
+        code, out, _ = run_cli(capsys, "asymptotic", "--seed", "3", "--es")
+        assert code == 0 and out == run_cli(capsys, "asymptotic", "--es")[1]
+
     def test_invalid_level_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--b", "1.5", "--m", "100")
         assert code == 2

@@ -31,6 +31,12 @@ def two_group():
     )
 
 
+@pytest.fixture
+def forty_group():
+    # pd scales from 0.1 to 1.66 and exposures from 0.5 to 2.45, unequal counts
+    return Portfolio([SubPortfolio(0.5 + 0.05 * j, 0.1 + 0.04 * j, 5 + j) for j in range(40)])
+
+
 class TestTypes:
     def test_group_validation(self):
         with pytest.raises(ValueError):
@@ -184,13 +190,15 @@ class TestSolveVstar:
             v = solve_vstar(two_group, 1.3, b)
             assert abs(limiting_mean_loss(two_group, 1.3, v) - b) <= 1e-12 * cbar
 
-    def test_two_group_against_plain_bisection(self, homog, two_group):
+    def test_two_group_against_plain_bisection(self, homog, two_group, forty_group):
         # the solver's rule on limiting_mean_loss: hi doubles from 1, bisect
         # [0, hi], stop at |r - b| <= 1e-12 b; the solver must return its
-        # midpoint to the bit, on one group and on two (1 100 steps cover the
-        # exponent range of a double)
-        for pf, alpha in itertools.product((homog, two_group), (1.1, 1.5, 2.0, 5.0)):
-            for b in (1e-9, 1e-3, 0.3, 0.77, 0.9 * pf.mean_exposure):
+        # midpoint to the bit, on one group, two and forty, up to levels near
+        # the mean exposure where the window can fall back (1 100 steps
+        # cover the exponent range of a double)
+        fracs = (0.9, 0.99, 0.999)
+        for pf, alpha in itertools.product((homog, two_group, forty_group), (1.1, 1.5, 2.0, 5.0)):
+            for b in (1e-9, 1e-3, 0.3, 0.77, *(f * pf.mean_exposure for f in fracs)):
                 hi = 1.0
                 while limiting_mean_loss(pf, alpha, hi) <= b:
                     hi *= 2
@@ -221,6 +229,55 @@ class TestSolveVstar:
         with pytest.raises(NumericalError, match="did not converge") as info:
             solve_vstar(homog, 1.5, 0.8)
         assert info.value.achieved > 1e-12
+        # the cap's last probe is outside the Newton window, where r was not
+        # evaluated; its miss is evaluated, not reported as inf
+        assert math.isfinite(info.value.achieved)
+
+    def test_window_skips_probes_on_asym_surface_grid(self, homog, monkeypatch):
+        # the benchmark's asymptotic grid: at most 12 evaluations of r per
+        # solve (the plain bisection takes about 40), and never the fallback
+        calls = []
+        real = asymptotics._curve
+        monkeypatch.setattr(asymptotics, "_curve", lambda *a: calls.append(a) or real(*a))
+        mixed = Portfolio([SubPortfolio(1.0, 0.5, 60), SubPortfolio(2.0, 0.8, 40)])
+        for pf, alpha in itertools.product((homog, mixed), (1.1, 1.25, 1.5, 2.0, 3.0, 5.0)):
+            for b in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+                cw, l_a = asymptotics._curve_columns(pf, alpha)
+                assert math.isfinite(asymptotics._window(cw, l_a, b, 1e-12 * b)[0])
+                calls.clear()
+                solve_vstar(pf, alpha, b)
+                assert 0 < len(calls) <= 12, (pf.n, alpha, b)
+
+    def test_same_bits_without_window(self, two_group, monkeypatch):
+        # with no Newton steps there is no window and every probe is
+        # evaluated: the plain bisection, to the same bits.  The second
+        # portfolio has rates l**alpha from 1e-300 to 1e200 and exposures
+        # from 3e-8 to 1e10; the Newton steps take the rates relative to the
+        # largest, so no moment overflows (a RuntimeWarning fails the suite)
+        extreme = Portfolio([SubPortfolio(1e10, 100.0, 3), SubPortfolio(1.0, 1e-3, 5),
+                             SubPortfolio(3e-8, 7.0, 2)])
+        for pf, alpha in ((two_group, 1.5), (extreme, 100.0)):
+            cw, l_a = asymptotics._curve_columns(pf, alpha)
+            for b in (1e-3 * pf.mean_exposure, 0.3 * pf.mean_exposure, 0.9 * pf.mean_exposure):
+                assert math.isfinite(asymptotics._window(cw, l_a, b, 1e-12 * b)[0])
+                want = solve_vstar(pf, alpha, b)
+                with monkeypatch.context() as patch:
+                    patch.setattr(asymptotics, "_NEWTON_STEPS", 0)
+                    calls = []
+                    real = asymptotics._curve
+                    patch.setattr(asymptotics, "_curve", lambda *a: calls.append(a) or real(*a))
+                    assert solve_vstar(pf, alpha, b) == want
+                assert len(calls) > 30
+
+    def test_curve_error_far_below_window_margin(self, homog, two_group, forty_group):
+        # the window decides probes outside it by r's monotonicity, which
+        # needs _curve's relative error far below tol = 1e-12 b
+        for pf, alpha in itertools.product((homog, two_group, forty_group), (1.1, 2.0, 5.0)):
+            cw, l_a = asymptotics._curve_columns(pf, alpha)
+            columns = list(zip(cw.tolist(), l_a.tolist()))
+            for v in (1e-300, 1e-9, 0.03, 0.7, 4.0, 90.0):
+                want = math.fsum(c * -math.expm1(-v * x) for c, x in columns)
+                assert asymptotics._curve(cw, l_a, v) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_domain_error_names_bound(self, homog):
         with pytest.raises(ValueError, match="1"):
