@@ -22,7 +22,6 @@ from .estimators import (
     condmc_block,
     is_expected_shortfall,
     is_sample_v,
-    is_tail_block,
     naive_tail_block,
     replicate,
     run_tail_estimate,
@@ -50,7 +49,6 @@ __all__ = [
     "homogeneous_tail_asymptotic",
     "is_expected_shortfall",
     "is_sample_v",
-    "is_tail_block",
     "limiting_mean_loss",
     "naive_tail_block",
     "replicate",

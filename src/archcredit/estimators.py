@@ -207,7 +207,12 @@ def _twist_newton(p: np.ndarray, nc: np.ndarray, c: np.ndarray, nb: float) -> np
 # block estimators --------------------------------------------------------
 #
 # Each takes the run context, the substream of one block and the block's
-# size, and returns one value per replication of the block.
+# size, and returns what that block draws: one value, or one column of
+# values, per replication of the block.  Only the draws and what the block's
+# next draw reads run here; the stable-law density and survival evaluations
+# and the weights run once per run, over all m replications (see the run
+# level below).  The stable law gives each point the same bits in any batch,
+# so this split leaves every output bit as it would be block by block.
 
 
 def naive_tail_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
@@ -218,33 +223,29 @@ def naive_tail_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
     return model.exceeds(defaults @ model.exposures).astype(float)
 
 
-def is_sample_v(ctx: RunContext, rng: RngStream, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``size`` mixing variables from the spliced proposal density, with
-    their likelihood factors.
+def is_sample_v(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` mixing variables from the spliced proposal density.
 
     By composition: a stable draw falls below the splice point x0 with the
-    body's mass and law, so it is kept (factor 1); a draw at or above x0 is
-    replaced by a Pareto draw (factor: the density ratio).  A block draws
-    ``size`` stable values, then one uniform per tail replication.
+    body's mass and law, so it is kept; a draw at or above x0 is replaced by
+    a Pareto draw, which is again at or above x0, so the tail replications
+    are those with v >= x0 (their likelihood factors: _splice_factor).  A
+    block draws ``size`` stable values, then one uniform per tail
+    replication.
     """
     x0 = ctx.config.x0
     v = ctx.law.sample(rng, size)
     tail = v >= x0
     u = 1.0 - rng.uniform(size=int(tail.sum()))  # in (0, 1]
     v[tail] = x0 * u ** (-1.0 / ctx.eta)
-    num = ctx.law.pdf(v[tail])
-    log_den = ctx.log_tail_norm - (ctx.eta + 1.0) * np.log(v[tail])
-    lr = np.ones(size)
-    with np.errstate(divide="ignore"):
-        lr[tail] = np.where(num > 0.0, np.exp(np.log(num) - log_den), 0.0)
-    return v, lr
+    return v
 
 
-def _is_loss_and_weight(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
-    """Proposal draws: realized losses (row 0) and their unbiasing likelihood
-    ratios (row 1)."""
+def _is_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
+    """Proposal draws: realized losses (row 0), the log likelihood ratios of
+    the twist (row 1) and the mixing draws v (row 2)."""
     model = ctx.model
-    v, lr_v = is_sample_v(ctx, rng, size)
+    v = is_sample_v(ctx, rng, size)
     probs = model.default_probs(v)
     theta, twisted = _solve_twist(model.counts, model.exposures, probs, model.nb)
     d = rng.binomial(model.counts, twisted)
@@ -254,30 +255,19 @@ def _is_loss_and_weight(ctx: RunContext, rng: RngStream, size: int) -> np.ndarra
     tc = theta[:, None] * c
     log_d = np.log(probs + (1.0 - probs) * np.exp(-tc))
     log_w = np.where(theta != 0.0, (n * log_d + (n - d) * tc).sum(axis=1), 0.0)
-    weight = np.where(lr_v > 0.0, lr_v * np.exp(log_w), 0.0)
-    return np.stack((d @ c, weight))
-
-
-def is_tail_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
-    """Weighted indicators: the likelihood ratio where the loss event occurs, else 0."""
-    loss, weight = _is_loss_and_weight(ctx, rng, size)
-    return np.where(ctx.model.exceeds(loss), weight, 0.0)
+    return np.stack((d @ c, log_w, v))
 
 
 def condmc_block(ctx: RunContext, rng: RngStream, size: int) -> np.ndarray:
-    """Conditional exceedance probabilities given the obligor default times.
-
-    Returns the stable survival function at the mixing-variable-scale time of
-    the default that tips the cumulative exposure above n*b.  A single-group
-    block draws that time directly, as two gamma vectors of ``size`` values;
-    any other block draws a (size, n) matrix of obligor exponentials.
-    """
-    return ctx.law.sf(_tipping_times(ctx.model, rng, size))
-
-
-def _tipping_times(model: LossModel, rng: RngStream, size: int) -> np.ndarray:
     """Per row, the mixing-variable-scale time of the default that tips the
-    loss above n*b; a (size, n) draw is freed before the survival call."""
+    loss above n*b; the run's conditional values are the stable survival
+    function at these times.
+
+    A single-group block draws that time directly, as two gamma vectors of
+    ``size`` values; any other block draws a (size, n) matrix of obligor
+    exponentials, freed when the block returns.
+    """
+    model = ctx.model
     if len(model.counts) == 1:
         # the k-th order statistic E_(k) of n unit exponentials is -log W with
         # W = x / (x + y) ~ Beta(n - k + 1, k), the law of 1 - U_(k) (Renyi);
@@ -295,6 +285,47 @@ def _tipping_times(model: LossModel, rng: RngStream, size: int) -> np.ndarray:
         raise ValueError(f"loss level unattainable: n*b={model.nb} >= total exposure")
     rows = np.arange(size)
     return o[rows, order[rows, idx]]
+
+
+# run level --------------------------------------------------------------
+#
+# Each takes the run context and evaluates, once over all m replications,
+# what the blocks' draws leave to compute.
+
+
+def _splice_factor(ctx: RunContext, v: np.ndarray) -> np.ndarray:
+    """Likelihood factors of proposal draws v: 1 below the splice point x0,
+    the density ratio of the stable law to the Pareto tail at or above it,
+    from one ``law.pdf`` call on the tail draws."""
+    tail = v >= ctx.config.x0
+    num = ctx.law.pdf(v[tail])
+    log_den = ctx.log_tail_norm - (ctx.eta + 1.0) * np.log(v[tail])
+    lr = np.ones(v.shape)
+    with np.errstate(divide="ignore"):
+        lr[tail] = np.where(num > 0.0, np.exp(np.log(num) - log_den), 0.0)
+    return lr
+
+
+def _is_loss_and_weight(ctx: RunContext) -> np.ndarray:
+    """The run's proposal draws: realized losses (row 0) and their unbiasing
+    likelihood ratios (row 1)."""
+    loss, log_w, v = replicate(ctx, _is_block)
+    lr_v = _splice_factor(ctx, v)
+    return np.stack((loss, np.where(lr_v > 0.0, lr_v * np.exp(log_w), 0.0)))
+
+
+def _tail_values(ctx: RunContext) -> np.ndarray:
+    """Per-replication values of the run's estimator of the loss-event
+    probability, in replication order: naive indicators, weighted indicators
+    (the likelihood ratio where the loss event occurs, else 0) or conditional
+    exceedance probabilities."""
+    kind = ctx.config.kind
+    if kind == "naive":
+        return replicate(ctx, naive_tail_block)
+    if kind == "conditional":
+        return ctx.law.sf(replicate(ctx, condmc_block))
+    loss, weight = _is_loss_and_weight(ctx)
+    return np.where(ctx.model.exceeds(loss), weight, 0.0)
 
 
 # aggregation and runners ---------------------------------------------------
@@ -353,29 +384,29 @@ def replicate(ctx: RunContext, block) -> np.ndarray:
 
     Block j covers replications jB .. min((j+1)B, m) - 1 and draws from
     ``RngStream(seed).substream(j)``; the last axis of the result indexes the
-    replications in order.
+    replications in order.  The result is allocated when the first block
+    returns, and each block is copied into it, so a run holds one copy of
+    its values.
     """
     m = ctx.config.m
     root = RngStream(ctx.config.seed)
-    return np.concatenate(
-        [block(ctx, root.substream(j), min(B, m - start)) for j, start in enumerate(range(0, m, B))],
-        axis=-1,
-    )
+    out = None
+    for j, start in enumerate(range(0, m, B)):
+        values = block(ctx, root.substream(j), min(B, m - start))
+        if out is None:
+            out = np.empty(values.shape[:-1] + (m,), values.dtype)
+        out[..., start : start + B] = values
+    return out
 
 
-_BLOCKS = {
-    "naive": naive_tail_block,
-    "importance": is_tail_block,
-    "conditional": condmc_block,
-}
-_KINDS = tuple(_BLOCKS)
+_KINDS = ("naive", "importance", "conditional")
 
 
 def run_tail_estimate(config: EstimatorConfig) -> EstimateReport:
     """Estimate the loss-event probability with the configured estimator."""
     t0 = time.perf_counter()
     ctx = RunContext(config)
-    values = replicate(ctx, _BLOCKS[config.kind])
+    values = _tail_values(ctx)
     return aggregate(values, seed=config.seed, runtime_s=time.perf_counter() - t0)
 
 
@@ -391,7 +422,7 @@ def is_expected_shortfall(config: EstimatorConfig) -> EstimateReport:
     t0 = time.perf_counter()
     ctx = RunContext(config)
     nb = ctx.model.nb
-    losses, weights = replicate(ctx, _is_loss_and_weight)
+    losses, weights = _is_loss_and_weight(ctx)
     exceed = ctx.model.exceeds(losses)
     if not exceed.any():
         raise EstimationError(

@@ -15,6 +15,7 @@ from archcredit import (
     LossModel,
     NumericalError,
     Portfolio,
+    PositiveStableLaw,
     RngStream,
     RunContext,
     SubPortfolio,
@@ -22,7 +23,6 @@ from archcredit import (
     condmc_block,
     is_expected_shortfall,
     is_sample_v,
-    is_tail_block,
     naive_tail_block,
     replicate,
     run_tail_estimate,
@@ -229,7 +229,8 @@ class TestSpliceSampler:
 
     def test_unit_factor_below_splice(self):
         ctx = RunContext(config(kind="importance", x0=1.0))
-        v, lr = is_sample_v(ctx, RngStream(8), 300)
+        v = is_sample_v(ctx, RngStream(8), 300)
+        lr = est_mod._splice_factor(ctx, v)
         assert v.shape == lr.shape == (300,)
         assert np.all(v > 0.0)
         body = v < ctx.config.x0
@@ -241,7 +242,7 @@ class TestSpliceSampler:
         # change-of-measure identity for the spliced proposal
         ctx = RunContext(config(kind="importance", x0=1.0))
         n = 100_000
-        lrs = is_sample_v(ctx, RngStream(44), n)[1]
+        lrs = est_mod._splice_factor(ctx, is_sample_v(ctx, RngStream(44), n))
         z = (lrs.mean() - 1.0) / (lrs.std(ddof=1) / math.sqrt(n))
         assert abs(z) <= 4.0
 
@@ -249,7 +250,7 @@ class TestSpliceSampler:
         # F below x0; F(x0) plus the Pareto share of the tail mass sf(x0) above it
         ctx = RunContext(config(kind="importance", x0=1.0))
         x0, law, n = ctx.config.x0, ctx.law, 200_000
-        v = np.sort(is_sample_v(ctx, RngStream(45), n)[0])
+        v = np.sort(is_sample_v(ctx, RngStream(45), n))
         t = np.array([0.2, 0.35, 0.5, 0.75, 0.9, 1.0, 1.5, 10.0, 1e3, 1e6])
         body = np.minimum(t, x0)
         spliced = 1.0 - law.sf(body) + np.where(
@@ -291,15 +292,15 @@ class TestImportanceRep:
         model = ctx.model
         probs = model.default_probs(v_fix)
         assert sum(n * c * p for n, c, p in zip(model.counts, model.exposures, probs)) > model.nb
-        monkeypatch.setattr(
-            est_mod, "is_sample_v", lambda c, r, size: (np.full(size, v_fix), np.ones(size))
-        )
-        vals = set(is_tail_block(ctx, RngStream(6), 50))
+        monkeypatch.setattr(est_mod, "is_sample_v", lambda c, r, size: np.full(size, v_fix))
+        loss, log_w, _ = est_mod._is_block(ctx, RngStream(6), 50)
+        # weighted indicators at a unit splice factor
+        vals = set(np.where(model.exceeds(loss), np.exp(log_w), 0.0))
         assert vals <= {0.0, 1.0}
 
     def test_values_nonnegative(self):
         cfg = config(kind="importance", m=500, seed=5)
-        vals = replicate(RunContext(cfg), is_tail_block)
+        vals = est_mod._tail_values(RunContext(cfg))
         assert vals.shape == (500,)
         assert np.all(vals >= 0.0)
 
@@ -321,7 +322,7 @@ class TestConditionalRep:
             kind="conditional",
         )
         ctx = RunContext(cfg)
-        got = condmc_block(ctx, RngStream(99), 5)
+        got = ctx.law.sf(condmc_block(ctx, RngStream(99), 5))
         # one obligor, k = 1: its default time log1p(y / x) is an exponential
         rng = RngStream(99)
         x, y = rng.standard_gamma(1, 5), rng.standard_gamma(1, 5)
@@ -346,7 +347,7 @@ class TestConditionalRep:
         )
         ctx = RunContext(cfg)
         model = ctx.model
-        got = condmc_block(ctx, RngStream(5), 64)
+        got = ctx.law.sf(condmc_block(ctx, RngStream(5), 64))
         exposure = np.repeat(model.exposures, model.counts)
         if len(pf.groups) == 1:
             k = next(j for j in range(1, model.n + 1) if model.exceeds(exposure[:j].sum()))
@@ -377,9 +378,10 @@ class TestConditionalRep:
                 self.calls.append((shape, size))
                 return np.full(size, float(len(self.calls)))
 
-        model = config().model  # n = 500, k = 401
+        ctx = RunContext(config())  # n = 500, k = 401
+        model = ctx.model
         rng = Recorder()
-        got = est_mod._tipping_times(model, rng, 7)
+        got = condmc_block(ctx, rng, 7)
         assert rng.calls == [(100, 7), (401, 7)]
         np.testing.assert_array_equal(got, np.full(7, np.log1p(2.0) / model.phis[0]))
 
@@ -392,8 +394,9 @@ class TestConditionalRep:
         # and a partition oracle must both match the mean and variance
         inv = 1.0 / np.arange(n - k + 1, n + 1)
         k2, k4 = (inv**2).sum(), 6.0 * (inv**4).sum()
-        model = config(portfolio=Portfolio.homogeneous(n, pd_scale=0.5), b=(k - 0.5) / n,
-                       scale=DefaultScale.constant(0.3)).model
+        ctx = RunContext(config(portfolio=Portfolio.homogeneous(n, pd_scale=0.5), b=(k - 0.5) / n,
+                                scale=DefaultScale.constant(0.3)))
+        model = ctx.model
         assert model.k == k
 
         def partition_oracle(rng, size):
@@ -401,7 +404,7 @@ class TestConditionalRep:
             return np.partition(e, k - 1, axis=1)[:, k - 1]
 
         for draws in (
-            est_mod._tipping_times(model, RngStream(17), 200_000) * model.phis[0],
+            condmc_block(ctx, RngStream(17), 200_000) * model.phis[0],
             np.concatenate([partition_oracle(RngStream(18).substream(j), 500) for j in range(20)]),
         ):
             size = len(draws)
@@ -410,7 +413,7 @@ class TestConditionalRep:
 
     def test_values_in_unit_interval_and_rao_blackwell(self):
         cfg = config(base=DESK, kind="conditional", m=4000, seed=31)
-        vals = replicate(RunContext(cfg), condmc_block)
+        vals = est_mod._tail_values(RunContext(cfg))
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         p_hat = vals.mean()
         assert vals.var(ddof=1) <= p_hat * (1.0 - p_hat)
@@ -502,6 +505,60 @@ class TestRunners:
         assert rep.estimate <= 0.05
 
 
+class TestRunSplit:
+    # blocks draw; the run evaluates the stable law once over all m replications
+
+    @pytest.mark.parametrize("kind", ["importance", "es", "conditional"])
+    def test_one_stable_call_per_run(self, kind, monkeypatch):
+        # m = 200: four blocks, the last one partial
+        calls = {"pdf": [], "sf": []}
+        for name in calls:
+            real = getattr(PositiveStableLaw, name)
+
+            def counted(law, x, real=real, name=name):
+                calls[name].append(np.size(x))
+                return real(law, x)
+
+            monkeypatch.setattr(PositiveStableLaw, name, counted)
+        cfg = config(kind="conditional" if kind == "conditional" else "importance", m=200)
+        if kind == "es":
+            is_expected_shortfall(cfg)
+        else:
+            run_tail_estimate(cfg)
+        if kind == "conditional":
+            assert calls == {"pdf": [], "sf": [200]}
+        else:
+            # sf(x0) from RunContext, one pdf call on the run's tail draws
+            assert calls["sf"] == [1] and len(calls["pdf"]) == 1
+
+    @pytest.mark.parametrize("x0", [0.1, 1.0])
+    @pytest.mark.parametrize("m", [2, 63, 130])
+    def test_splice_factor_of_run_matches_blocks_bit_for_bit(self, m, x0):
+        ctx = RunContext(config(kind="importance", m=m, seed=23, x0=x0))
+        got = est_mod._splice_factor(ctx, replicate(ctx, is_sample_v))
+        root = RngStream(23)
+        want = np.concatenate([
+            est_mod._splice_factor(ctx, is_sample_v(ctx, root.substream(j), min(64, m - start)))
+            for j, start in enumerate(range(0, m, 64))
+        ])
+        assert np.any(want != 1.0)
+        np.testing.assert_array_equal(got, want)
+
+    def test_replicate_fills_rows_in_order(self):
+        ctx = RunContext(config(m=130))
+
+        def block(ctx, rng, size):
+            return np.stack((np.full(size, float(size)), rng.uniform(size=size)))
+
+        got = replicate(ctx, block)
+        assert got.shape == (2, 130)
+        np.testing.assert_array_equal(got[0], [64.0] * 128 + [2.0] * 2)
+        root = RngStream(1)
+        np.testing.assert_array_equal(got[1], np.concatenate(
+            [root.substream(j).uniform(size=size) for j, size in enumerate((64, 64, 2))]
+        ))
+
+
 class TestExpectedShortfall:
     def test_zero_exceedances_error(self):
         cfg = config(kind="importance", m=2, seed=13)
@@ -509,10 +566,10 @@ class TestExpectedShortfall:
             is_expected_shortfall(cfg)
 
     def test_non_finite_weight_rejected(self, monkeypatch):
-        def losses_and_weights(ctx, rng, size):
-            weight = np.ones(size)
+        def losses_and_weights(ctx):
+            weight = np.ones(ctx.config.m)
             weight[0] = np.inf
-            return np.stack((np.full(size, ctx.model.nb + 1.0), weight))
+            return np.stack((np.full(ctx.config.m, ctx.model.nb + 1.0), weight))
 
         monkeypatch.setattr(est_mod, "_is_loss_and_weight", losses_and_weights)
         with pytest.raises(NumericalError, match="not finite"):
@@ -551,6 +608,6 @@ class TestExpectedShortfall:
         # the non-rare desk instance where the weight tail is light enough
         # for the sample mean to see the full mass
         cfg = config(base=DESK, kind="importance", m=60_000, seed=29)
-        w = replicate(RunContext(cfg), est_mod._is_loss_and_weight)[1]
+        w = est_mod._is_loss_and_weight(RunContext(cfg))[1]
         z = (w.mean() - 1.0) / (w.std(ddof=1) / math.sqrt(cfg.m))
         assert abs(z) <= 4.0

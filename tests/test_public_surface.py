@@ -14,12 +14,12 @@ PUBLIC = [
     "NumericalError", "Portfolio", "PositiveStableLaw", "RngStream", "RunContext",
     "SubPortfolio", "aggregate", "condmc_block", "expected_shortfall_asymptotic",
     "homogeneous_shortfall_asymptotic", "homogeneous_tail_asymptotic", "is_expected_shortfall",
-    "is_sample_v", "is_tail_block", "limiting_mean_loss", "naive_tail_block", "replicate",
+    "is_sample_v", "limiting_mean_loss", "naive_tail_block", "replicate",
     "run_tail_estimate", "solve_vstar", "tail_probability_asymptotic",
 ]
 
 
 def test_public_surface_inventory():
-    assert len(PUBLIC) == 25
+    assert len(PUBLIC) == 24
     assert sorted(archcredit.__all__) == PUBLIC
     assert all(hasattr(archcredit, name) for name in PUBLIC)
