@@ -44,6 +44,7 @@ if TYPE_CHECKING:
 
 _VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar from its bracket [hi / 2, hi]
 _NEWTON_STEPS = 24  # Newton steps allowed to _window before it gives up
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = 2.0**-52  # relative stop of the gamma series and continued fraction
 _CF_FROM = 3.0  # GammaUpper(s, x) by the continued fraction for x >= this, else by the series
 # cap on series terms and fraction steps; for 0 < s < 1 neither takes more
@@ -116,9 +117,22 @@ def _gamma_less_pole(s: float) -> float:
 
 
 def _curve_columns(pf: Portfolio, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The columns (c_j w_j, l_j**alpha) of the limiting loss curve at alpha."""
+    """The columns (c_j w_j, l_j**alpha) of the limiting loss curve at alpha.
+
+    A largest l_j**alpha past the float range is a NumericalError, decided
+    on alpha * log(max l_j) before any power is taken, so no overflow
+    warning is raised; the margin of 1e-12 covers the rounding of that
+    product.  (The curve would read the mean exposure at every v > 0 and
+    leave no v* to find.)
+    """
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"tail index must be finite and exceed 1, got {alpha}")
+    l_max = float(pf.pd_scales.max())
+    if alpha * math.log(l_max) > _LOG_FLOAT_MAX - 1e-12:
+        raise NumericalError(
+            f"largest l_j**alpha = {l_max:g}**{alpha:g} is not finite: "
+            "the limiting loss curve has no v* in floating point"
+        )
     return pf.exposures * pf.weights, pf.pd_scales**alpha
 
 

@@ -18,8 +18,13 @@ The model itself (conditional default probabilities, threshold index, loss
 event) comes from :class:`~archcredit.portfolio.LossModel`.  Replications run
 in blocks of ``B = 64``, each in one array pass: block j holds replications
 jB .. min((j+1)B, m) - 1 (the last block is partial) and draws everything from
-``RngStream(seed).substream(j)``.  Aggregation runs over the stored
-per-replication values in index order.
+``RngStream(seed).substream(j)``.  A block keeps only its draws and what its
+next draw reads: the stable and Pareto draws of V, the twist solve (the
+binomial draws read the twisted probabilities) and the binomial draws, or
+the tipping times.  The run does the rest once over all m replications: one
+stable-law ``pdf`` call on the tail draws for the splice factor and the
+weights, or one ``sf`` call on the tipping times, then the aggregation over
+the stored per-replication values in index order.
 """
 
 from __future__ import annotations
@@ -76,6 +81,12 @@ class EstimatorConfig:
             raise ValueError(
                 f"splice tail shape undefined: phi(1 - f_n)={model.phi_f} >= 1; "
                 "the default scale is too large for importance sampling"
+            )
+        if self.kind == "importance" and model.phi_f == 0.0:
+            # the splice tail shape is -1 / log(phi(1 - f_n))
+            raise ValueError(
+                f"splice tail shape undefined: phi(1 - f_n) underflows to 0 "
+                f"(alpha={model.alpha}, f_n={model.f_n:g})"
             )
 
 

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,21 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+@contextmanager
+def time_limit(seconds):
+    """A TimeoutError in the block once ``seconds`` of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestAsymptoticCommand:
@@ -49,6 +66,32 @@ class TestAsymptoticCommand:
         methods = [r["method"] for r in rows]
         assert methods == ["asymptotic_tail", "asymptotic_es"]
         assert float(rows[1]["asymptotic"]) == pytest.approx(476.95021, abs=1e-3)
+
+
+class TestOverflowingModel:
+    # alpha = 200, l = 100, n = 1000, b = 0.5: l**alpha = 100**200 overflows
+    # and phi(1 - f_n) = (-log1p(-1e-3))**200 underflows, but the model is
+    # valid and the conditional estimator reads it
+    POINT = ("--alpha", "200", "--l", "100", "--n", "1000", "--b", "0.5")
+
+    def test_asymptotic_exits_3_naming_the_rate(self, capsys):
+        # the v* solve used to loop forever on r = nan
+        with time_limit(10):
+            code, out, err = run_cli(capsys, "asymptotic", *self.POINT, "--es")
+        assert code == 3
+        assert len(parse_csv(out)) == 2
+        assert err.count("largest l_j**alpha = 100**200 is not finite") == 2
+
+    def test_importance_exits_2_naming_phi(self, capsys):
+        # RunContext used to take math.log(0.0): exit 3, "math domain error"
+        code, out, err = run_cli(capsys, "estimate", "--method", "importance", *self.POINT,
+                                 "--m", "100")
+        assert (code, out) == (2, "")
+        assert "phi(1 - f_n) underflows to 0" in err
+        code, out, _ = run_cli(capsys, "estimate", "--method", "conditional", *self.POINT,
+                               "--m", "100")
+        assert code == 0
+        assert float(parse_csv(out)[0]["estimate"]) == pytest.approx(0.0999, rel=1e-3)
 
 
 class TestEstimateCommand:
