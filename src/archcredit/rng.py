@@ -5,7 +5,10 @@ identified by a root seed plus a key of substream indices; substreams derived
 from the same (seed, key) are statistically independent and reproducible.
 The Monte Carlo estimators run replications in blocks of B = 64, and block j
 draws everything from ``RngStream(seed).substream(j)``, so blocks can run in
-any order without changing results.
+any order without changing results.  A block makes the draws and the twist
+solve that its binomial draws read; the run evaluates the stable law's
+``sf``/``pdf``, the splice factor and the weights once over all blocks'
+draws, and aggregates.
 """
 
 from __future__ import annotations
