@@ -17,15 +17,11 @@ neither approximation needs quadrature.  Both take a
 it.  Gamma is ``math.gamma``, and GammaUpper, needed only for 0 < s < 1, is
 evaluated here (``_upper_gamma``), so this module imports no SciPy.
 
-``solve_vstar`` bisects for vstar but evaluates r only at the probes inside
-a window [lo, hi] around it.  A few Newton steps locate vstar, and the
-window is kept only if r(lo) <= b - 2 tol and r(hi) >= b + 2 tol, with
-tol = 1e-12 b the bisection's stopping tolerance.  r is increasing and its
-computed value is far closer than tol to the true one, so a probe outside
-the window is decided without evaluating r: the probes and the result are
-those of the plain bisection to the bit.  When no window can be certified
-(b within about tol of the mean exposure, or tol subnormal) every probe is
-evaluated, as in the plain bisection.
+``solve_vstar`` finds vstar by Newton steps on g(v) = log(cbar - r(v)),
+with cbar the mean exposure: g is decreasing and convex, so the steps climb
+to vstar from v = 0 without overshooting, and the first iterate whose r is
+within tol = 1e-12 b of b is returned.  A level where no float meets that
+tolerance (vstar subnormal or underflowing) raises NumericalError.
 """
 
 from __future__ import annotations
@@ -42,8 +38,9 @@ from .errors import NumericalError
 if TYPE_CHECKING:
     from .portfolio import LossModel, Portfolio
 
-_VSTAR_STEPS = 200  # bisection steps allowed to solve_vstar from its bracket [hi / 2, hi]
-_NEWTON_STEPS = 24  # Newton steps allowed to _window before it gives up
+# Newton steps allowed to solve_vstar; one group takes 1, and 200 to 1 000
+# groups with l_j**alpha spread over 600 decades take up to 200
+_NEWTON_STEPS = 256
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = 2.0**-52  # relative stop of the gamma series and continued fraction
 _CF_FROM = 3.0  # GammaUpper(s, x) by the continued fraction for x >= this, else by the series
@@ -54,14 +51,14 @@ _GAMMA_STEPS = 100
 
 def _upper_gamma(s: float, x: float) -> float:
     """GammaUpper(s, x), the integral of t**(s-1) exp(-t) over (x, inf), for
-    0 < s < 1 and x > 0, to about 1e-13 relative.
+    0 < s < 1 and x > 0, to about 1e-13 relative; 0 exactly at x = inf.
 
     Below _CF_FROM it is Gamma(s) - gamma(s, x), the lower function gamma by
     its power series.  Both terms are close to 1/s when s is small, so each
     is taken less 1/s, which leaves two terms of order one.
     """
     if x >= _CF_FROM:
-        return _upper_gamma_cf(s, x)
+        return _upper_gamma_cf(s, x) if x < math.inf else 0.0
     return _gamma_less_pole(s) - _lower_gamma_less_pole(s, x)
 
 
@@ -137,7 +134,9 @@ def _curve_columns(pf: Portfolio, alpha: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _curve(cw: np.ndarray, l_a: np.ndarray, v: float) -> float:
-    """r(v) from the columns of _curve_columns."""
+    """r(v) from the columns of _curve_columns.  A product v l_j**alpha past
+    the float range is inf, and its term is then the whole c_j w_j; callers
+    hold np.errstate(over="ignore") so that it raises no warning."""
     return float(np.dot(cw, -np.expm1(-v * l_a)))
 
 
@@ -145,135 +144,68 @@ def limiting_mean_loss(pf: Portfolio, alpha: float, v: float) -> float:
     """Large-portfolio mean loss per obligor at normalized mixture value v.
 
     r(v) = sum_j c_j w_j (1 - exp(-v l_j**alpha)); strictly increasing from 0
-    to the mean exposure.  Each call checks v and alpha and builds the
-    columns c_j w_j and l_j**alpha; solve_vstar checks alpha and builds them
-    once per solve and evaluates r by the same expression (_curve), so its
-    r agrees with this one to the bit.
+    to the mean exposure, which it reaches without warning where
+    v l_j**alpha passes the float range.  Each call checks v and alpha and
+    builds the columns c_j w_j and l_j**alpha; solve_vstar checks alpha and
+    builds them once per solve and evaluates r by the same expression
+    (_curve), so the r it meets the tolerance with is this one to the bit.
     """
     if not v >= 0.0:
         raise ValueError(f"v must be nonnegative, got {v}")
-    return _curve(*_curve_columns(pf, alpha), v)
-
-
-def _window(cw: np.ndarray, l_a: np.ndarray, b: float, tol: float) -> tuple[float, ...]:
-    """A window [lo, hi] around v* with _curve(lo) <= b - 2 tol and
-    _curve(hi) >= b + 2 tol, as (lo, _curve(lo), hi, _curve(hi)); the empty
-    window (-inf, nan, inf, nan) when that cannot be certified.
-
-    Newton steps from v = 0 locate v*.  They run on g(v) = log(cbar - r(v)),
-    the log of sum_j c_j w_j exp(-v l_j**alpha): g - g(v*) =
-    log1p((b - r) / (cbar - b)) has the root of r - b, and g is decreasing
-    and convex, so the steps climb toward v* from the left without
-    overshooting (on one group g is linear and one step lands).  They stop
-    once the step's quadratic term |g''| step**2 / 2 is below tol / 4 in
-    r-units, which leaves the last iterate well inside tol / r' of v*; the
-    window is that iterate plus or minus 4 tol / r'.  The steps run in
-    u = v * max_j l_j**alpha, so that no rate exceeds 1 and no moment
-    overflows.
-
-    The window is empty when cbar - b does not round above 0, when tol is
-    subnormal (the rounding of _curve is then not far below it), when the
-    largest rate rounds to 0 or inf, when cbar - r or the slope underflows,
-    an iterate leaves (0, inf) or the window reaches 0, and when
-    _NEWTON_STEPS steps do not stop.
-    """
-    empty = (-math.inf, math.nan, math.inf, math.nan)
-    gap = float(cw.sum()) - b
-    scale = float(l_a.max())
-    if not (gap > 0.0 and tol >= sys.float_info.min and 0.0 < scale < math.inf):
-        return empty
-    rates = l_a / scale
-    cwl = cw * rates
-    moments = np.stack((cw, cwl, cwl * rates))  # sums at exp(-u rates): cbar - r, r', -r'' in u
-    u, r = 0.0, 0.0
-    rest, slope, m2 = moments.sum(axis=1).tolist()
-    for _ in range(_NEWTON_STEPS):
-        below = (b - r) / gap
-        if not (rest > 0.0 and slope > 0.0 and below > -1.0):
-            return empty
-        g1 = slope / rest  # -g'(u)
-        step = math.log1p(below) / g1
-        u += step
-        if not 0.0 < u < math.inf:
-            return empty
-        if (m2 - slope * g1) * step * step <= 0.5 * tol:  # rest * g''(u) * step**2
-            break
-        x = -u * rates
-        r = -float(np.dot(cw, np.expm1(x)))
-        rest, slope, m2 = (moments @ np.exp(x)).tolist()
-    else:
-        return empty
-    half = 4.0 * tol / (g1 * gap)  # 4 tol / r'(u*)
-    if not half < u:
-        return empty
-    lo, hi = (u - half) / scale, (u + half) / scale
-    r_lo, r_hi = _curve(cw, l_a, lo), _curve(cw, l_a, hi)
-    if r_lo <= b - 2.0 * tol and r_hi >= b + 2.0 * tol:
-        return lo, r_lo, hi, r_hi
-    return empty
+    with np.errstate(over="ignore"):
+        return _curve(*_curve_columns(pf, alpha), v)
 
 
 def solve_vstar(pf: Portfolio, alpha: float, b: float) -> float:
-    """Invert the limiting loss curve: the unique v with r(v) = b.
+    """Invert the limiting loss curve: a v with |r(v) - b| <= tol = 1e-12 b
+    (r-units, so v* stays accurate relative to itself at small b).
 
-    Checks b and alpha and builds the curve's columns once per solve.  hi
-    doubles from 1 until r(hi) > b, then halves while r(hi / 2) > b: these
-    are the first midpoints a bisection of [0, hi] takes, and they do not
-    count against _VSTAR_STEPS, so a tiny b still converges.  The bisection
-    of [hi / 2, hi] follows.  A midpoint is returned as v* once
-    |r - b| <= 1e-12 b (r-units, so v* stays accurate relative to itself at
-    small b).  53 steps leave no float inside a bracket whose ends differ by
-    a factor of 2, so the cap is reached only when rounding keeps r from
-    the tolerance, and then NumericalError is raised.
+    Checks b and alpha and builds the curve's columns once per solve, then
+    takes Newton steps from v = 0 on g(v) = log(cbar - r(v)), the log of
+    sum_j c_j w_j exp(-v l_j**alpha).  g - g(v*) = log1p((b - r) / (cbar - b))
+    has the root of r - b, and g is decreasing and convex, so the steps
+    climb toward v* from the left without overshooting; on one group g is
+    linear and one step lands.  -g'(v) is the mean of the l_j**alpha
+    weighted by softmax(log c_j w_j - v l_j**alpha), which neither overflows
+    nor loses a slow group's rate beside a fast one.  The first iterate whose
+    r, evaluated by _curve as limiting_mean_loss evaluates it, meets the
+    tolerance is returned.
 
-    r is evaluated (by _curve) only at probes inside the window [lo, hi] of
-    _window.  r is increasing and _curve's relative error is far below
-    1e-12, so a probe at or below lo has r below b - tol and one at or above
-    hi has r above b + tol: there the window end's value stands in for r,
-    and each loop takes the branch that r itself would.  The probes, and so
-    the returned v*, are those of the plain bisection to the bit; with no
-    certified window every probe is evaluated.
+    NumericalError, with the miss as ``achieved``, is raised when a step
+    leaves (0, inf) or does not move v (v* underflows or is subnormal, where
+    rounding keeps r from the tolerance), and when _NEWTON_STEPS steps do
+    not meet it.  A level above every group with l_j**alpha > 0 is a
+    ValueError.
     """
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
         raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")
     cw, l_a = _curve_columns(pf, alpha)
     tol = 1e-12 * b
-    lo_w, r_lo, hi_w, r_hi = _window(cw, l_a, b, tol)
-
-    def curve(v: float) -> float:
-        if v <= lo_w:
-            return r_lo
-        if v >= hi_w:
-            return r_hi
-        return _curve(cw, l_a, v)
-
-    hi = 1.0
-    while curve(hi) <= b:
-        hi *= 2.0
-        if hi > 1e308:
-            raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
-    while True:  # ends: r(0) = 0 < b once hi / 2 underflows
-        mid = 0.5 * hi
-        r = curve(mid)
-        if abs(r - b) <= tol:
-            return mid
-        if r < b:
-            break
-        hi = mid
-    lo = mid
-    for _ in range(_VSTAR_STEPS):
-        mid = 0.5 * (lo + hi)
-        r = curve(mid)
-        if abs(r - b) <= tol:
-            return mid
-        if r < b:
-            lo = mid
-        else:
-            hi = mid
+    gap = cbar - b
+    log_cw = np.log(cw)
+    v = r = 0.0
+    with np.errstate(over="ignore"):  # v l_j**alpha past the float range: weight 0
+        for _ in range(_NEWTON_STEPS):
+            x = log_cw - v * l_a
+            p = np.exp(x - x.max())
+            slope = float(np.dot(p / p.sum(), l_a))  # -g'(v)
+            if not slope > 0.0:  # the groups left have l_j**alpha = 0: r stays below b
+                raise ValueError(f"loss level {b} unreachable below the mean exposure {cbar}")
+            step_to = v + math.log1p((b - r) / gap) / slope
+            if not (0.0 < step_to < math.inf and step_to != v):
+                raise NumericalError(
+                    f"Newton solve for v* at b={b!r} stalled: a step from v={v!r} "
+                    f"reached {step_to!r}",
+                    achieved=abs(r - b),
+                )
+            v = step_to
+            r = _curve(cw, l_a, v)
+            if abs(r - b) <= tol:
+                return v
     raise NumericalError(
-        f"bisection for v* at b={b} did not converge in {_VSTAR_STEPS} steps",
-        achieved=abs(_curve(cw, l_a, mid) - b),
+        f"Newton solve for v* at b={b!r} did not converge in {_NEWTON_STEPS} steps",
+        achieved=abs(r - b),
     )
 
 
@@ -294,7 +226,9 @@ def expected_shortfall_asymptotic(model: LossModel) -> float:
     pf = model.portfolio
     vstar = model.vstar
     s = 1.0 - 1.0 / model.alpha
-    upper = np.array([_upper_gamma(s, x) for x in (vstar * pf.pd_scales**model.alpha).tolist()])
+    with np.errstate(over="ignore"):  # vstar l_j**alpha past the float range: GammaUpper is 0
+        x = vstar * pf.pd_scales**model.alpha
+    upper = np.array([_upper_gamma(s, x_j) for x_j in x.tolist()])
     integral = float((pf.exposures * pf.weights * pf.pd_scales * upper).sum())
     return pf.n * (model.b + vstar ** (1.0 / model.alpha) * integral)
 

@@ -391,16 +391,21 @@ def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[dict], bool]:
             _log(f"running {task.method}: {where} m={cfg.m}")
         es = task.method in _SHORTFALL
         report = asym = None
-        try:
-            # looked up at call time, so a wrapper installed on this module (as
-            # the benchmark's tracer does) is the one called
-            if task.asymptotic:
+        # looked up at call time, so a wrapper installed on this module (as the
+        # benchmark's tracer does) is the one called; each part fails alone, so
+        # a row keeps its estimate when its asymptotic column fails
+        if task.asymptotic:
+            try:
                 asym = (expected_shortfall_asymptotic if es else tail_probability_asymptotic)(point)
-            if cfg is not None:
+            except (NumericalError, ValueError) as exc:
+                _log(f"row failed ({task.method} asymptotic: {where}): {exc}")
+                failed = True
+        if cfg is not None:
+            try:
                 report = (is_expected_shortfall if es else run_tail_estimate)(cfg)
-        except (NumericalError, EstimationError, ValueError) as exc:
-            _log(f"row failed ({task.method}: {where}): {exc}")
-            failed = True
+            except (NumericalError, EstimationError, ValueError) as exc:
+                _log(f"row failed ({task.method}: {where}): {exc}")
+                failed = True
         rows.append(_row(task, report, asym, settings.timings))
     return rows, failed
 

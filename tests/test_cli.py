@@ -93,6 +93,48 @@ class TestOverflowingModel:
         assert code == 0
         assert float(parse_csv(out)[0]["estimate"]) == pytest.approx(0.0999, rel=1e-3)
 
+    def test_estimate_kept_when_asymptotic_fails(self, capsys):
+        # the asymptotic column fails on l**alpha, and the row used to lose
+        # its conditional estimate with it
+        argv = ("estimate", "--method", "conditional", *self.POINT, "--m", "100", "--seed", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        alone = parse_csv(out)[0]
+        code, out, err = run_cli(capsys, *argv, "--asymptotic")
+        assert code == 3
+        row = parse_csv(out)[0]
+        assert "largest l_j**alpha = 100**200 is not finite" in err
+        values = ("estimate", "std_error", "rel_error_pct", "var_reduction")
+        assert [row[k] for k in values] == [alone[k] for k in values]
+        assert all(row[k] != "" for k in values)
+        assert (row["asymptotic"], row["discrepancy_pct"]) == ("", "")
+
+
+class TestWideRates:
+    # l**alpha = 1e300 and 1e-300 at alpha = 100: past v*, v l**alpha of the
+    # fast group passes the float range, where its terms are exact limits
+    GROUPS = [{"exposure": 1, "pd_scale": 1000, "count": 5},
+              {"exposure": 1, "pd_scale": 0.001, "count": 5}]
+
+    def test_shortfall_is_finite_without_warning(self, capsys, tmp_path):
+        # the shortfall row used to fail on GammaUpper(s, inf) after two
+        # overflow warnings
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"groups": self.GROUPS,
+                                   "scale": {"kind": "constant", "value": 1e-4}}))
+        with time_limit(10):
+            code, out, _ = run_cli(capsys, "asymptotic", "--config", str(cfg), "--alpha", "100",
+                                   "--b", "0.6", "--es")
+        assert code == 0
+        es = float(parse_csv(out)[1]["asymptotic"])
+        # only the slow group is left beyond v*, at v* l**alpha = log 1.25
+        from scipy.special import gamma, gammaincc
+
+        s, x = 0.99, math.log(1.25)
+        vstar = x / 0.001**100
+        want = 10 * (0.6 + vstar**0.01 * 0.5 * 0.001 * gamma(s) * gammaincc(s, x))
+        assert es == pytest.approx(want, rel=1e-9)
+
 
 class TestEstimateCommand:
     def test_columns_fixed(self, capsys):

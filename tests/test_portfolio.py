@@ -190,88 +190,78 @@ class TestSolveVstar:
             v = solve_vstar(two_group, 1.3, b)
             assert abs(limiting_mean_loss(two_group, 1.3, v) - b) <= 1e-12 * cbar
 
-    def test_two_group_against_plain_bisection(self, homog, two_group, forty_group):
-        # the solver's rule on limiting_mean_loss: hi doubles from 1, bisect
-        # [0, hi], stop at |r - b| <= 1e-12 b; the solver must return its
-        # midpoint to the bit, on one group, two and forty, up to levels near
-        # the mean exposure where the window can fall back (1 100 steps
-        # cover the exponent range of a double)
-        fracs = (0.9, 0.99, 0.999)
-        for pf, alpha in itertools.product((homog, two_group, forty_group), (1.1, 1.5, 2.0, 5.0)):
+    def test_meets_tolerance_on_grid(self, homog, two_group, forty_group):
+        # one group, two and forty; ten tail indices; 43 levels from 1e-45 c
+        # to 0.999 c (c the mean exposure) and the levels 1e-9, 1e-3, 0.3 and
+        # 0.77: each v* meets |r(v*) - b| <= 1e-12 b with r = limiting_mean_loss
+        alphas = (1.01, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 30.0)
+        fracs = np.geomspace(1e-45, 0.999, 43).tolist()
+        for pf, alpha in itertools.product((homog, two_group, forty_group), alphas):
             for b in (1e-9, 1e-3, 0.3, 0.77, *(f * pf.mean_exposure for f in fracs)):
-                hi = 1.0
-                while limiting_mean_loss(pf, alpha, hi) <= b:
-                    hi *= 2
-                lo = 0.0
-                for _ in range(1100):
-                    mid = 0.5 * (lo + hi)
-                    r = limiting_mean_loss(pf, alpha, mid)
-                    if abs(r - b) <= 1e-12 * b:
-                        break
-                    if r < b:
-                        lo = mid
-                    else:
-                        hi = mid
-                assert solve_vstar(pf, alpha, b) == mid
+                v = solve_vstar(pf, alpha, b)
+                assert abs(limiting_mean_loss(pf, alpha, v) - b) <= 1e-12 * b, (pf.n, alpha, b)
+
+    def test_meets_tolerance_at_hard_levels(self, homog, two_group, forty_group):
+        # b within 1 ulp, 1e-15, 1e-12 and 1e-9 relative of the mean exposure,
+        # and b = 1e-200 c and 1e-290 c, at tail indices up to 100; forty
+        # groups at alpha = 100 near the mean exposure take about 30 steps
+        for pf, alpha in itertools.product((homog, two_group, forty_group),
+                                           (1.01, 1.5, 2.0, 5.0, 10.0, 30.0, 50.0, 100.0)):
+            c = pf.mean_exposure
+            for b in (math.nextafter(c, 0.0), c * (1 - 1e-15), c * (1 - 1e-12), c * (1 - 1e-9),
+                      1e-200 * c, 1e-290 * c):
+                v = solve_vstar(pf, alpha, b)
+                assert abs(limiting_mean_loss(pf, alpha, v) - b) <= 1e-12 * b, (pf.n, alpha, b)
 
     def test_small_b(self, homog):
         assert solve_vstar(homog, 1.5, 1e-9) < 1e-7
 
     def test_tiny_b_relative_accuracy(self):
-        # the halvings down to v* do not count against the step cap
+        # the tolerance is relative to b, so v* keeps its digits at tiny b
         pf = Portfolio.homogeneous(1000, pd_scale=0.5)
         for b in (1e-50, 1e-150, 1e-290):
             want = -math.log1p(-b) / 0.5**1.5
             assert solve_vstar(pf, 1.5, b) == pytest.approx(want, rel=1e-11)
 
-    def test_step_cap_raises(self, homog, monkeypatch):
-        monkeypatch.setattr(asymptotics, "_VSTAR_STEPS", 1)
+    def test_step_cap_raises(self, two_group, monkeypatch):
+        # two groups take more than one Newton step
+        monkeypatch.setattr(asymptotics, "_NEWTON_STEPS", 1)
         with pytest.raises(NumericalError, match="did not converge") as info:
-            solve_vstar(homog, 1.5, 0.8)
-        assert info.value.achieved > 1e-12
-        # the cap's last probe is outside the Newton window, where r was not
-        # evaluated; its miss is evaluated, not reported as inf
-        assert math.isfinite(info.value.achieved)
+            solve_vstar(two_group, 1.5, 0.8)
+        assert 1e-12 * 0.8 < info.value.achieved < math.inf
 
-    def test_window_skips_probes_on_asym_surface_grid(self, homog, monkeypatch):
-        # the benchmark's asymptotic grid: at most 12 evaluations of r per
-        # solve (the plain bisection takes about 40), and never the fallback
+    def test_few_evaluations_on_asym_surface_grid(self, homog, monkeypatch):
+        # the benchmark's asymptotic grid: one evaluation of r per solve on
+        # one group, where one Newton step lands, and at most 6 on two
         calls = []
         real = asymptotics._curve
         monkeypatch.setattr(asymptotics, "_curve", lambda *a: calls.append(a) or real(*a))
         mixed = Portfolio([SubPortfolio(1.0, 0.5, 60), SubPortfolio(2.0, 0.8, 40)])
-        for pf, alpha in itertools.product((homog, mixed), (1.1, 1.25, 1.5, 2.0, 3.0, 5.0)):
+        for (pf, most), alpha in itertools.product(((homog, 1), (mixed, 6)),
+                                                   (1.1, 1.25, 1.5, 2.0, 3.0, 5.0)):
             for b in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-                cw, l_a = asymptotics._curve_columns(pf, alpha)
-                assert math.isfinite(asymptotics._window(cw, l_a, b, 1e-12 * b)[0])
                 calls.clear()
                 solve_vstar(pf, alpha, b)
-                assert 0 < len(calls) <= 12, (pf.n, alpha, b)
+                assert 0 < len(calls) <= most, (pf.n, alpha, b)
 
-    def test_same_bits_without_window(self, two_group, monkeypatch):
-        # with no Newton steps there is no window and every probe is
-        # evaluated: the plain bisection, to the same bits.  The second
-        # portfolio has rates l**alpha from 1e-300 to 1e200 and exposures
-        # from 3e-8 to 1e10; the Newton steps take the rates relative to the
-        # largest, so no moment overflows (a RuntimeWarning fails the suite)
+    def test_extreme_rates_meet_tolerance(self, two_group):
+        # rates l**alpha from 1e-300 to 1e200 and exposures from 3e-8 to 1e10,
+        # and two groups at rates 1e300 and 1e-300, up to levels where v l**alpha
+        # of the fast group passes the float range: the weights and r take
+        # that product as inf without an overflow warning (which fails the suite)
         extreme = Portfolio([SubPortfolio(1e10, 100.0, 3), SubPortfolio(1.0, 1e-3, 5),
                              SubPortfolio(3e-8, 7.0, 2)])
-        for pf, alpha in ((two_group, 1.5), (extreme, 100.0)):
-            cw, l_a = asymptotics._curve_columns(pf, alpha)
-            for b in (1e-3 * pf.mean_exposure, 0.3 * pf.mean_exposure, 0.9 * pf.mean_exposure):
-                assert math.isfinite(asymptotics._window(cw, l_a, b, 1e-12 * b)[0])
-                want = solve_vstar(pf, alpha, b)
-                with monkeypatch.context() as patch:
-                    patch.setattr(asymptotics, "_NEWTON_STEPS", 0)
-                    calls = []
-                    real = asymptotics._curve
-                    patch.setattr(asymptotics, "_curve", lambda *a: calls.append(a) or real(*a))
-                    assert solve_vstar(pf, alpha, b) == want
-                assert len(calls) > 30
+        wide = Portfolio([SubPortfolio(1.0, 1000.0, 5), SubPortfolio(1.0, 0.001, 5)])
+        cases = [(two_group, 1.5, (1e-3, 0.3, 0.9)), (extreme, 100.0, (1e-3, 0.3, 0.9)),
+                 (wide, 100.0, (0.3, 0.5, 0.6, 0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-11))]
+        for pf, alpha, fracs in cases:
+            for b in (f * pf.mean_exposure for f in fracs):
+                v = solve_vstar(pf, alpha, b)
+                assert abs(limiting_mean_loss(pf, alpha, v) - b) <= 1e-12 * b, (pf.n, b)
 
     def test_curve_error_far_below_window_margin(self, homog, two_group, forty_group):
-        # the window decides probes outside it by r's monotonicity, which
-        # needs _curve's relative error far below tol = 1e-12 b
+        # the solver stops once _curve is within tol = 1e-12 b of b, which
+        # certifies the true r only if _curve's relative error is far below tol
         for pf, alpha in itertools.product((homog, two_group, forty_group), (1.1, 2.0, 5.0)):
             cw, l_a = asymptotics._curve_columns(pf, alpha)
             columns = list(zip(cw.tolist(), l_a.tolist()))
@@ -289,6 +279,13 @@ class TestSolveVstar:
         for alpha in (math.nan, math.inf, 1.0):
             with pytest.raises(ValueError, match="tail index must be finite and exceed 1"):
                 solve_vstar(homog, alpha, 0.5)
+        # 0.01**200 underflows to 0: that group never defaults, and r stays
+        # below the level beyond the other group's share
+        slow = Portfolio([SubPortfolio(1.0, 0.01, 5), SubPortfolio(1.0, 2.0, 5)])
+        assert solve_vstar(slow, 200.0, 0.3) > 0.0
+        for pf, b in ((Portfolio.homogeneous(10, pd_scale=0.01), 0.3), (slow, 0.7)):
+            with pytest.raises(ValueError, match="unreachable"):
+                solve_vstar(pf, 200.0, b)
 
 
 def model_k(pf, b):

@@ -1,5 +1,6 @@
 """Properties over random small portfolios: one to three groups with their
-own exposures, default scales and sizes.
+own exposures, default scales and sizes; and the v* solve's contract over
+up to forty groups.
 
 Hypothesis runs derandomized and each Monte Carlo seed is drawn as part of the
 example, so every run of the suite checks the same examples with the same
@@ -7,19 +8,23 @@ streams.
 """
 
 import math
+import sys
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from archcredit import (
     DefaultScale,
     EstimatorConfig,
     LossModel,
+    NumericalError,
     Portfolio,
     SubPortfolio,
     expected_shortfall_asymptotic,
     is_expected_shortfall,
+    limiting_mean_loss,
     run_tail_estimate,
+    solve_vstar,
     tail_probability_asymptotic,
 )
 
@@ -94,3 +99,47 @@ def test_asymptotic_tail_monotone_in_level_and_default_scale(desk, u, v):
 
     assert tail(f, b_lo) >= tail(f, b_hi)
     assert tail(f_lo, b_lo) <= tail(f_hi, b_lo)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+WIDE = [SubPortfolio(1.0, 1000.0, 5), SubPortfolio(1.0, 0.001, 5)]  # l**100 = 1e300 and 1e-300
+FORTY = [SubPortfolio(0.5 + 0.05 * j, 0.1 + 0.04 * j, 5 + j) for j in range(40)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    groups=st.lists(st.builds(SubPortfolio, exposure=_log_uniform(1e-3, 1e3),
+                              pd_scale=_log_uniform(1e-3, 1e3), count=st.integers(1, 20)),
+                    min_size=1, max_size=40),
+    alpha=st.floats(1.0, 100.0, exclude_min=True),
+    frac=st.floats(-290.0, 0.0, exclude_max=True).map(lambda e: 10.0**e),
+)
+# past v*, v l**alpha of the fast group passes the float range
+@example(groups=WIDE, alpha=100.0, frac=0.6)
+@example(groups=WIDE, alpha=100.0, frac=1 - 1e-11)
+@example(groups=WIDE, alpha=100.0, frac=0.5)
+# l**alpha = 100**200 overflows: the curve has no v* in floating point
+@example(groups=[SubPortfolio(1.0, 100.0, 1000)], alpha=200.0, frac=0.5)
+# forty groups near the mean exposure take about 30 Newton steps
+@example(groups=FORTY, alpha=100.0, frac=1 - 1e-15)
+@example(groups=FORTY, alpha=100.0, frac=1 - 1e-9)
+def test_vstar_meets_tolerance_or_names_the_cause(groups, alpha, frac):
+    # |r(v*) - b| <= 1e-12 b, or an error that names why no float meets it;
+    # an overflow warning fails the suite
+    pf = Portfolio(groups)
+    b = frac * pf.mean_exposure
+    try:
+        v = solve_vstar(pf, alpha, b)
+    except NumericalError as exc:
+        if "stalled" in str(exc):  # v* is subnormal or underflows
+            assert limiting_mean_loss(pf, alpha, sys.float_info.min) >= b - 1e-12 * b
+        else:
+            assert "is not finite" in str(exc)
+        return
+    except ValueError as exc:  # b rounds to the mean exposure
+        assert "loss level must lie in" in str(exc)
+        return
+    assert abs(limiting_mean_loss(pf, alpha, v) - b) <= 1e-12 * b
