@@ -24,8 +24,9 @@ from functools import cached_property
 import numpy as np
 
 # the limiting loss curve and its inverse live beside the approximations that
-# read v*, whose module docstring defines them; the model only solves it
-from .asymptotics import solve_vstar
+# read v*, whose module docstring defines them; a portfolio holds its curves
+# and a model solves its level on one of them
+from .asymptotics import LossCurve, solve_vstar
 
 LOSS_EPS = 1e-9  # "loss exceeds n*b" means loss > n*b + LOSS_EPS; snaps integer boundaries
 
@@ -101,6 +102,18 @@ class Portfolio:
     def total_exposure(self) -> float:
         return float(np.dot(self.exposures, self.counts))
 
+    @cached_property
+    def _curves(self) -> dict[float, LossCurve]:
+        return {}
+
+    def curve(self, alpha: float) -> LossCurve:
+        """The limiting loss curve at tail index alpha, built once per alpha and
+        shared by every model, solve and r evaluation on it."""
+        curve = self._curves.get(alpha)
+        if curve is None:
+            curve = self._curves[alpha] = LossCurve(self, alpha)
+        return curve
+
     @staticmethod
     def homogeneous(n: int, exposure: float = 1.0, pd_scale: float = 1.0) -> "Portfolio":
         return Portfolio((SubPortfolio(exposure, pd_scale, n),))
@@ -175,9 +188,13 @@ class LossModel:
 
     Given the raw mixing variable V, a group-j obligor defaults independently
     with probability p_j(V) = 1 - exp(-V * phi(1 - l_j f_n)), and the loss
-    event is loss > n*b.  v* and the members only the estimators read are
-    computed on first use; the methods take one value or an array of
-    replications.
+    event is loss > n*b.  The model registers b on its portfolio's curve at
+    alpha (``curve``) when it is built; the first read of v* on that curve
+    solves every level registered there and not yet solved, in one
+    solve_vstar call, and a level whose solve failed raises its own error at
+    every read.  v* and every member that only the estimators read (the
+    generator values phi and the per-obligor columns) are computed on first
+    use; the methods take one value or an array of replications.
     """
 
     def __init__(self, pf: Portfolio, alpha: float, scale: DefaultScale, b: float):
@@ -189,17 +206,36 @@ class LossModel:
         self.nb = pf.n * b
         self.counts = pf.counts
         self.exposures = pf.exposures
-        self.phi_f = _phi_near_one(alpha, self.f_n)  # phi(1 - f_n), read by importance sampling
-        self.phis = _read_only([_phi_near_one(alpha, pd * self.f_n) for pd in pf.pd_scales])
         if not self.exceeds(pf.total_exposure):
             raise ValueError(
                 f"loss level unattainable: n*b={self.nb} >= total exposure {pf.total_exposure}"
             )
+        self.curve = pf.curve(alpha)
+        self.curve.vstars.setdefault(b, None)
 
     @cached_property
     def vstar(self) -> float:
-        """The v with r(v) = b, solved on first use."""
-        return solve_vstar(self.portfolio, self.alpha, self.b)
+        """The v with r(v) = b, solved on first use with the other unsolved
+        levels of the curve."""
+        vstars = self.curve.vstars
+        if vstars[self.b] is None:
+            todo = [b for b, v in vstars.items() if v is None]
+            vstars.update(zip(todo, solve_vstar(self.portfolio, self.alpha, todo)))
+        vstar = vstars[self.b]
+        if isinstance(vstar, Exception):
+            raise vstar
+        return vstar
+
+    @cached_property
+    def phi_f(self) -> float:
+        """phi(1 - f_n), read by importance sampling."""
+        return _phi_near_one(self.alpha, self.f_n)
+
+    @cached_property
+    def phis(self) -> np.ndarray:
+        """phi(1 - l_j f_n) for every group."""
+        return _read_only([_phi_near_one(self.alpha, pd * self.f_n)
+                           for pd in self.portfolio.pd_scales])
 
     # per-obligor columns, in group order
     @cached_property

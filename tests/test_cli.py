@@ -110,6 +110,23 @@ class TestOverflowingModel:
         assert (row["asymptotic"], row["discrepancy_pct"]) == ("", "")
 
 
+class TestFailingLevel:
+    # v* at b = 1e-320 is subnormal, so its solve stalls; it is solved in one
+    # batch with b = 0.5, whose rows it must leave as they are alone
+    ARGS = ("asymptotic", "--alpha", "5", "--l", "50", "--n", "1000")
+
+    def test_failing_level_fails_alone(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGS, "--b", "1e-320", "--b", "0.5", "--es")
+        assert code == 3
+        assert err.count("Newton solve for v* at b=1e-320 stalled") == 2
+        rows = parse_csv(out)
+        assert [(r["method"], r["asymptotic"]) for r in rows[:2]] == [
+            ("asymptotic_tail", ""), ("asymptotic_es", "")]
+        code, alone, _ = run_cli(capsys, *self.ARGS, "--b", "0.5", "--es")
+        assert code == 0
+        assert out.splitlines()[3:] == alone.splitlines()[1:]
+
+
 class TestWideRates:
     # l**alpha = 1e300 and 1e-300 at alpha = 100: past v*, v l**alpha of the
     # fast group passes the float range, where its terms are exact limits

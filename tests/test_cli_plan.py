@@ -70,8 +70,9 @@ def test_underflowing_model_is_a_config_error(capsys):
     assert es == pytest.approx(homogeneous_shortfall_asymptotic(100.0, 0.8, 1.0, 1000), rel=1e-12)
 
 
-def test_one_vstar_solve_per_point(capsys, monkeypatch):
-    # the rows of one (alpha, n, b) point share its model, and so its v*
+def test_one_vstar_solve_per_curve(capsys, monkeypatch):
+    # the rows of one (alpha, n, b) point share its model, and the models of
+    # one (portfolio, alpha) share its curve: one solve takes all its levels
     calls = []
     real = portfolio.solve_vstar
     monkeypatch.setattr(portfolio, "solve_vstar", lambda *a: calls.append(a) or real(*a))
@@ -79,8 +80,8 @@ def test_one_vstar_solve_per_point(capsys, monkeypatch):
     out, _ = capsys.readouterr()
     assert code == 0
     assert len(list(csv.DictReader(io.StringIO(out)))) == 8
-    assert sorted((pf.n, b) for pf, _, b in calls) == [(100, 0.5), (100, 0.8), (500, 0.5),
-                                                      (500, 0.8)]
+    assert sorted((pf.n, alpha, b) for pf, alpha, b in calls) == [(100, 1.5, [0.5, 0.8]),
+                                                                  (500, 1.5, [0.5, 0.8])]
 
 
 def test_one_model_build_per_point(capsys, monkeypatch):

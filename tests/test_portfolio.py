@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from archcredit import (
     NumericalError,
     Portfolio,
     SubPortfolio,
+    expected_shortfall_asymptotic,
     limiting_mean_loss,
     solve_vstar,
+    tail_probability_asymptotic,
 )
 
 
@@ -231,18 +235,19 @@ class TestSolveVstar:
         assert 1e-12 * 0.8 < info.value.achieved < math.inf
 
     def test_few_evaluations_on_asym_surface_grid(self, homog, monkeypatch):
-        # the benchmark's asymptotic grid: one evaluation of r per solve on
-        # one group, where one Newton step lands, and at most 6 on two
+        # the benchmark's asymptotic grid, one solve per (portfolio, alpha)
+        # holding its eight levels: one evaluation of r on one group, where
+        # one Newton step lands, and at most 6 on two
         calls = []
         real = asymptotics._curve
         monkeypatch.setattr(asymptotics, "_curve", lambda *a: calls.append(a) or real(*a))
         mixed = Portfolio([SubPortfolio(1.0, 0.5, 60), SubPortfolio(2.0, 0.8, 40)])
+        levels = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         for (pf, most), alpha in itertools.product(((homog, 1), (mixed, 6)),
                                                    (1.1, 1.25, 1.5, 2.0, 3.0, 5.0)):
-            for b in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-                calls.clear()
-                solve_vstar(pf, alpha, b)
-                assert 0 < len(calls) <= most, (pf.n, alpha, b)
+            calls.clear()
+            assert all(isinstance(v, float) for v in solve_vstar(pf, alpha, levels))
+            assert 0 < len(calls) <= most, (pf.n, alpha)
 
     def test_extreme_rates_meet_tolerance(self, two_group):
         # rates l**alpha from 1e-300 to 1e200 and exposures from 3e-8 to 1e10,
@@ -263,7 +268,7 @@ class TestSolveVstar:
         # the solver stops once _curve is within tol = 1e-12 b of b, which
         # certifies the true r only if _curve's relative error is far below tol
         for pf, alpha in itertools.product((homog, two_group, forty_group), (1.1, 2.0, 5.0)):
-            cw, l_a = asymptotics._curve_columns(pf, alpha)
+            cw, l_a, _, _ = pf.curve(alpha).columns
             columns = list(zip(cw.tolist(), l_a.tolist()))
             for v in (1e-300, 1e-9, 0.03, 0.7, 4.0, 90.0):
                 want = math.fsum(c * -math.expm1(-v * x) for c, x in columns)
@@ -286,6 +291,80 @@ class TestSolveVstar:
         for pf, b in ((Portfolio.homogeneous(10, pd_scale=0.01), 0.3), (slow, 0.7)):
             with pytest.raises(ValueError, match="unreachable"):
                 solve_vstar(pf, 200.0, b)
+
+
+def _outcome(call):
+    """A call's value, or the type, message and miss of the error it raises."""
+    try:
+        return call()
+    except (ArithmeticError, NumericalError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "achieved", None)
+
+
+def _point_values(model):
+    return [_outcome(lambda: model.vstar), _outcome(lambda: tail_probability_asymptotic(model)),
+            _outcome(lambda: expected_shortfall_asymptotic(model))]
+
+
+class TestBatchInvariance:
+    # the levels of one (portfolio, alpha) are solved together; each must get
+    # the bits, or the error, that it gets alone
+    WIDE = Portfolio([SubPortfolio(1.0, 1000.0, 5), SubPortfolio(1.0, 0.001, 5)])
+    SCALE = DefaultScale.constant(1e-4)
+
+    @staticmethod
+    def _levels(pf):
+        # the asym-surface levels, the hard levels of
+        # test_meets_tolerance_at_hard_levels, a level whose v* is subnormal
+        # and two outside (0, c); shuffled, and with a repeated level
+        c = pf.mean_exposure
+        levels = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, math.nextafter(c, 0.0),
+                  c * (1 - 1e-15), c * (1 - 1e-12), c * (1 - 1e-9), 1e-200 * c, 1e-290 * c,
+                  1e-320 * c, 1.5 * c, 0.0]
+        random.Random(len(pf.groups)).shuffle(levels)
+        return levels + levels[:3]
+
+    def test_batch_equals_single_level(self, homog, two_group, forty_group):
+        slow = Portfolio([SubPortfolio(1.0, 0.01, 5), SubPortfolio(1.0, 2.0, 5)])
+        cases = list(itertools.product((homog, two_group, forty_group, self.WIDE),
+                                       (1.01, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 30.0, 100.0)))
+        cases.append((slow, 200.0))  # 0.01**200 = 0: levels above 0.5 are unreachable
+        failed = 0
+        for pf, alpha in cases:
+            levels = self._levels(pf)
+            alone = [_outcome(lambda: solve_vstar(pf, alpha, b)) for b in levels]
+            batch = solve_vstar(pf, alpha, levels)
+            for b, one, got in zip(levels, alone, batch):
+                if isinstance(got, Exception):
+                    got = type(got), str(got), getattr(got, "achieved", None)
+                    failed += 1
+                assert repr(got) == repr(one), (pf.n, alpha, b)
+            # through the models: each level registers on its curve, the first
+            # read solves them all, and the first shortfall read integrates them
+            batch_pf = Portfolio(pf.groups)
+            models = {}
+            for b in dict.fromkeys(levels):
+                with contextlib.suppress(ValueError):  # b outside (0, c), or n*b unattainable
+                    models[b] = LossModel(batch_pf, alpha, self.SCALE, b)
+            for b, model in reversed(models.items()):
+                single = LossModel(Portfolio(pf.groups), alpha, self.SCALE, b)
+                assert repr(_point_values(model)) == repr(_point_values(single)), (pf.n, alpha, b)
+        assert failed > len(cases) * 3  # every case has failing levels
+
+    def test_capped_levels_fail_alone(self, two_group, monkeypatch):
+        # with three Newton steps allowed, some levels converge and the others
+        # miss; each keeps its single-level value or error
+        monkeypatch.setattr(asymptotics, "_NEWTON_STEPS", 3)
+        levels = [0.2, 0.5, 0.8, 1.1, 1.3, 1.39]
+        batch = solve_vstar(two_group, 1.5, levels)
+        kinds = []
+        for b, got in zip(levels, batch):
+            one = _outcome(lambda: solve_vstar(two_group, 1.5, b))
+            if isinstance(got, Exception):
+                got = type(got), str(got), getattr(got, "achieved", None)
+            kinds.append(isinstance(got, tuple))
+            assert repr(got) == repr(one), b
+        assert any(kinds) and not all(kinds)
 
 
 def model_k(pf, b):
