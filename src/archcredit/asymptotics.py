@@ -16,13 +16,15 @@ neither approximation needs quadrature.  Gamma is ``math.gamma``, and
 GammaUpper, needed only for 0 < s < 1, is evaluated here (``_upper_gamma``),
 so this module imports no SciPy.
 
-Every level b of one (portfolio, alpha) inverts the same curve, so the curve
-has one home, a :class:`LossCurve` held by the portfolio: its columns are
+Every level b of one group mix (the columns c_j, w_j, l_j) and alpha
+inverts the same curve, whatever the portfolio size, so the curve has one
+home, a :class:`LossCurve` in the portfolio's curve store: its columns are
 built and checked once, and each :class:`~archcredit.portfolio.LossModel` on
-it registers its b.  The first read of any level's v* solves every level not
-yet solved in one ``solve_vstar`` call, and the first shortfall read
-evaluates the integral for every solved level in one pass; both
-approximations take the model and share its v*.
+it registers its b.  The portfolios of one command share a store, so the
+sizes of an n grid share the curve of their mix.  The first read of any
+level's v* solves every level not yet solved in one ``solve_vstar`` call,
+and the first shortfall read evaluates the integral for every solved level
+in one pass; both approximations take the model and share its v*.
 
 ``solve_vstar`` finds vstar by Newton steps on g(v) = log(cbar - r(v)),
 with cbar the mean exposure, for one level or a vector of levels at once: g
@@ -61,7 +63,8 @@ _GAMMA_STEPS = 100
 
 def _upper_gamma(s: float, x: float) -> float:
     """GammaUpper(s, x), the integral of t**(s-1) exp(-t) over (x, inf), for
-    0 < s < 1 and x > 0, to about 1e-13 relative; 0 exactly at x = inf.
+    0 < s < 1 and x >= 0, to about 1e-13 relative; 0 exactly at x = inf,
+    and Gamma(s) at x = 0, where v* l_j**alpha of a slow group underflows.
 
     Below _CF_FROM it is Gamma(s) - gamma(s, x), the lower function gamma by
     its power series.  Both terms are close to 1/s when s is small, so each
@@ -69,6 +72,8 @@ def _upper_gamma(s: float, x: float) -> float:
     """
     if x >= _CF_FROM:
         return _upper_gamma_cf(s, x) if x < math.inf else 0.0
+    if x == 0.0:  # gamma(s, 0) = 0, and the series would take log 0
+        return _gamma_less_pole(s) + 1.0 / s
     return _gamma_less_pole(s) - _lower_gamma_less_pole(s, x)
 
 
@@ -124,9 +129,11 @@ def _gamma_less_pole(s: float) -> float:
 
 
 class LossCurve:
-    """The limiting loss curve r of one (portfolio, alpha), and the levels b
+    """The limiting loss curve r of one group mix and alpha, and the levels b
     that its models read: the one home of what every level on the curve
-    shares.  ``Portfolio.curve(alpha)`` holds one per tail index.
+    shares.  ``Portfolio.curve(alpha)`` keeps one per (mix, alpha) in the
+    portfolio's curve store, which the portfolios of one command share, so
+    the models of one mix at every size read one curve.
 
     Its columns c_j w_j, l_j**alpha, log c_j w_j and c_j w_j l_j are built
     and checked once, on first use (``columns``).  ``vstars`` maps each level
@@ -134,8 +141,8 @@ class LossCurve:
     None while it is unsolved; ``integrals`` maps each solved level to its
     shortfall integral or to the error that raised, evaluated for every
     solved level in one pass at the first shortfall read (``integral``).
-    The curve keeps the group columns it reads, not the portfolio, which
-    holds it.
+    The curve keeps the group columns it reads, not the portfolio, whose
+    store holds it.
     """
 
     def __init__(self, pf: Portfolio, alpha: float):

@@ -12,12 +12,17 @@ Every row carries a fixed column set::
 
 Numeric fields are emitted with 17 significant digits so parsing the CSV
 recovers them exactly.  ``runtime_ms`` is left empty unless ``--timings`` is
-given, keeping re-runs with the same seed byte-identical.
+given, keeping re-runs with the same seed byte-identical.  A row is a tuple of
+its formatted fields in ``COLUMNS`` order.
 
 Every command (``estimate``, ``es``, ``asymptotic`` and the ``table``
 presets) plans one row per (alpha, n, b, method) of its grid, the rows of one
 (alpha, n, b) point sharing its one validated ``LossModel`` and a Monte Carlo
-row i with seed ``seed + i``, and then computes the rows in order.  A bad
+row i with seed ``seed + i``, and then computes the rows in order.  The
+portfolios of one command share a curve store, so its models of one group
+mix and alpha read one limiting loss curve, at every n: one v* solve and one
+shortfall pass per mix and alpha.  A point's label ("alpha=..., n=...,
+b=...") is built only for a message that is printed.  A bad
 configuration, an output file that cannot be opened included, fails before any
 row runs (exit 2); a row whose computation fails leaves the value fields it
 could not compute empty, and the other rows are still emitted (exit 3).  Each
@@ -105,7 +110,8 @@ def _sizes(settings: Settings) -> list[int | None]:
     return [None]
 
 
-def _portfolio(settings: Settings, n: int | None) -> Portfolio:
+def _portfolio(settings: Settings, n: int | None, curves: dict) -> Portfolio:
+    """The portfolio of size n (None for a groups config), its curves kept in ``curves``."""
     if settings.groups is not None:
         groups = []
         for g in settings.groups:
@@ -117,13 +123,14 @@ def _portfolio(settings: Settings, n: int | None) -> Portfolio:
                                            _whole(g["count"])))
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad group {g}: {exc}") from exc
-        return Portfolio(groups)
-    return Portfolio.homogeneous(n, exposure=settings.c, pd_scale=settings.l)
+        return Portfolio(groups, curves)
+    return Portfolio.homogeneous(n, exposure=settings.c, pd_scale=settings.l, curves=curves)
 
 
 def _scale(settings: Settings) -> DefaultScale:
     kind = settings.scale_kind.replace("-", "_")
-    return _checked("--f (scale.value in the config)", DefaultScale, kind, settings.scale_value)
+    return _checked(lambda: "--f (scale.value in the config)", DefaultScale, kind,
+                    settings.scale_value)
 
 
 # converters of config values: each checks the JSON type and never coerces
@@ -287,7 +294,13 @@ class _Task:
     asymptotic: bool
 
 
-def _row(task: _Task, report=None, asym=None, timings=False) -> dict:
+def _where(alpha: float, n: int, b: float) -> str:
+    """The label of an (alpha, n, b) point, built only for a message that is printed."""
+    return f"alpha={alpha}, n={n}, b={b}"
+
+
+def _row(task: _Task, report=None, asym=None, timings=False) -> tuple[str, ...]:
+    """The fields of a report row, in ``COLUMNS`` order."""
     est = se = rel = vr = disc = runtime = None
     if report is not None:
         est = report.estimate
@@ -298,28 +311,21 @@ def _row(task: _Task, report=None, asym=None, timings=False) -> dict:
             runtime = report.runtime_s * 1000.0
         if asym is not None and asym > 0.0:
             disc = 100.0 * (report.estimate - asym) / asym
-    return {
-        "method": task.method,
-        "alpha": _fmt(task.point.alpha),
-        "n": _fmt(task.point.portfolio.n),
-        "b": _fmt(task.point.b),
-        "estimate": _fmt(est),
-        "std_error": _fmt(se),
-        "rel_error_pct": _fmt(rel),
-        "var_reduction": _fmt(vr),
-        "asymptotic": _fmt(asym),
-        "discrepancy_pct": _fmt(disc),
-        "runtime_ms": _fmt(runtime),
-        "seed": _fmt(task.config.seed if task.config else None),
-    }
+    point = task.point
+    return (
+        task.method, _fmt(point.alpha), _fmt(point.n), _fmt(point.b), _fmt(est), _fmt(se),
+        _fmt(rel), _fmt(vr), _fmt(asym), _fmt(disc), _fmt(runtime),
+        _fmt(task.config.seed if task.config else None),
+    )
 
 
-def _checked(what: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a ValueError raised as a ConfigError about ``what``."""
+def _checked(what, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError raised as a ConfigError
+    about ``what()``, which is called only then."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        raise ConfigError(f"{what()}: {exc}") from exc
 
 
 _PAIR = ["importance", "conditional"]
@@ -345,7 +351,9 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
 
     The rows of one (alpha, n, b) point share its validated LossModel, and
     so its one v*; a Monte Carlo row also gets a validated run config of that
-    model, with seed ``seed + row index``.  Nothing is computed here.  A
+    model, with seed ``seed + row index``.  The portfolios of the grid share
+    one curve store, so the models of one group mix and alpha, at every n,
+    register their levels on one loss curve.  Nothing is computed here.  A
     setting in ``given`` (set by a flag or a config key) that the command's
     preset or a groups config fixes is a ConfigError.
     """
@@ -359,17 +367,18 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
     methods = settings.methods or _PAIR
     scale = _scale(settings)
     tasks: list[_Task] = []
+    curves: dict = {}
     for alpha in alphas or [settings.alpha]:
         for n in _sizes(settings):
-            pf = _portfolio(settings, n)
+            pf = _portfolio(settings, n, curves)
             for b in settings.b or [0.8]:
-                where = f"alpha={alpha}, n={pf.n}, b={b}"
-                point = _checked(where, LossModel, pf, alpha, scale, b)
+                point = _checked(lambda: _where(alpha, pf.n, b), LossModel, pf, alpha, scale, b)
                 for method in methods:
                     config = None
                     if not method.startswith("asymptotic_"):
                         config = _checked(
-                            f"{method} ({where})", EstimatorConfig, point, m=settings.m,
+                            lambda: f"{method} ({_where(alpha, pf.n, b)})", EstimatorConfig,
+                            point, m=settings.m,
                             seed=settings.seed + len(tasks), x0=settings.x0,
                             kind="importance" if method in _ES else method,
                         )
@@ -380,15 +389,14 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
     return tasks
 
 
-def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[dict], bool]:
+def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[tuple[str, ...]], bool]:
     """Compute the rows in order; a row that fails leaves its values empty."""
-    rows: list[dict] = []
+    rows: list[tuple[str, ...]] = []
     failed = False
     for task in tasks:
         cfg, point = task.config, task.point
-        where = f"alpha={point.alpha} n={point.portfolio.n} b={point.b}"
         if cfg is not None:
-            _log(f"running {task.method}: {where} m={cfg.m}")
+            _log(f"running {task.method}: {_where(point.alpha, point.n, point.b)}, m={cfg.m}")
         es = task.method in _SHORTFALL
         report = asym = None
         # looked up at call time, so a wrapper installed on this module (as the
@@ -398,13 +406,14 @@ def _execute(tasks: list[_Task], settings: Settings) -> tuple[list[dict], bool]:
             try:
                 asym = (expected_shortfall_asymptotic if es else tail_probability_asymptotic)(point)
             except (NumericalError, ValueError) as exc:
-                _log(f"row failed ({task.method} asymptotic: {where}): {exc}")
+                _log(f"row failed ({task.method} asymptotic: "
+                     f"{_where(point.alpha, point.n, point.b)}): {exc}")
                 failed = True
         if cfg is not None:
             try:
                 report = (is_expected_shortfall if es else run_tail_estimate)(cfg)
             except (NumericalError, EstimationError, ValueError) as exc:
-                _log(f"row failed ({task.method}: {where}): {exc}")
+                _log(f"row failed ({task.method}: {_where(point.alpha, point.n, point.b)}): {exc}")
                 failed = True
         rows.append(_row(task, report, asym, settings.timings))
     return rows, failed
@@ -421,18 +430,18 @@ def _open_output(settings: Settings):
         raise ConfigError(f"cannot write output file {settings.output}: {exc}") from exc
 
 
-def _render_csv(rows: list[dict]) -> str:
+def _render_csv(rows: list[tuple[str, ...]]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def _render_markdown(rows: list[dict]) -> str:
+def _render_markdown(rows: list[tuple[str, ...]]) -> str:
     lines = ["| " + " | ".join(COLUMNS) + " |", "|" + "---|" * len(COLUMNS)]
     for row in rows:
-        lines.append("| " + " | ".join(row[c] for c in COLUMNS) + " |")
+        lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
 
 

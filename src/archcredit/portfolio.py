@@ -63,13 +63,22 @@ class SubPortfolio:
 
 @dataclass(frozen=True)
 class Portfolio:
+    """A finite union of obligor groups.
+
+    ``curves`` is the store of its limiting loss curves (``curve``); a fresh
+    one by default.  Portfolios given one store share a curve wherever their
+    group columns are equal bit for bit, so that the portfolios of one group
+    mix at several sizes solve each level once per tail index.
+    """
+
     groups: tuple[SubPortfolio, ...]
 
-    def __init__(self, groups):
+    def __init__(self, groups, curves: dict | None = None):
         groups = tuple(groups)
         if not groups:
             raise ValueError("portfolio needs at least one group")
         object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "_curves", {} if curves is None else curves)
 
     # each group column is built once and read-only: every model and run shares it
     @cached_property
@@ -103,20 +112,25 @@ class Portfolio:
         return float(np.dot(self.exposures, self.counts))
 
     @cached_property
-    def _curves(self) -> dict[float, LossCurve]:
-        return {}
+    def _mix(self) -> tuple[bytes, bytes, bytes]:
+        """The bytes of the columns c_j, w_j and l_j: the group mix that the
+        limiting loss curves read, whatever the size."""
+        return self.exposures.tobytes(), self.weights.tobytes(), self.pd_scales.tobytes()
 
     def curve(self, alpha: float) -> LossCurve:
-        """The limiting loss curve at tail index alpha, built once per alpha and
-        shared by every model, solve and r evaluation on it."""
-        curve = self._curves.get(alpha)
+        """The limiting loss curve at tail index alpha, built once per (mix,
+        alpha) in the portfolio's curve store and shared by every model,
+        solve and r evaluation on it, at every size of that mix."""
+        key = (alpha, self._mix)
+        curve = self._curves.get(key)
         if curve is None:
-            curve = self._curves[alpha] = LossCurve(self, alpha)
+            curve = self._curves[key] = LossCurve(self, alpha)
         return curve
 
     @staticmethod
-    def homogeneous(n: int, exposure: float = 1.0, pd_scale: float = 1.0) -> "Portfolio":
-        return Portfolio((SubPortfolio(exposure, pd_scale, n),))
+    def homogeneous(n: int, exposure: float = 1.0, pd_scale: float = 1.0,
+                    curves: dict | None = None) -> "Portfolio":
+        return Portfolio((SubPortfolio(exposure, pd_scale, n),), curves)
 
 
 @dataclass(frozen=True)
@@ -189,7 +203,8 @@ class LossModel:
     Given the raw mixing variable V, a group-j obligor defaults independently
     with probability p_j(V) = 1 - exp(-V * phi(1 - l_j f_n)), and the loss
     event is loss > n*b.  The model registers b on its portfolio's curve at
-    alpha (``curve``) when it is built; the first read of v* on that curve
+    alpha (``curve``, shared by the portfolios of its mix in one curve store)
+    when it is built; the first read of v* on that curve
     solves every level registered there and not yet solved, in one
     solve_vstar call, and a level whose solve failed raises its own error at
     every read.  v* and every member that only the estimators read (the

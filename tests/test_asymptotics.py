@@ -86,12 +86,13 @@ class TestUpperGamma:
     @pytest.mark.parametrize("alpha", [1.001, 1.1, 1.5, 2.0, 5.0, 100.0])
     def test_matches_scipy(self, alpha):
         # the series side, the fraction side and the crossover between them;
-        # s -> 0 is where Gamma(s) - gamma(s, x) would cancel
+        # s -> 0 is where Gamma(s) - gamma(s, x) would cancel; at x = 0 it is
+        # Gamma(s)
         from scipy.special import gamma, gammaincc
 
         s = 1.0 - 1.0 / alpha
         cut = asym_mod._CF_FROM
-        xs = np.geomspace(1e-8, 700.0, 400).tolist() + [np.nextafter(cut, 0.0), cut]
+        xs = [0.0] + np.geomspace(1e-8, 700.0, 400).tolist() + [np.nextafter(cut, 0.0), cut]
         for x in xs:
             want = gammaincc(s, x) * gamma(s)
             assert asym_mod._upper_gamma(s, x) == pytest.approx(want, rel=1e-12, abs=0), x

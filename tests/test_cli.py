@@ -153,6 +153,36 @@ class TestWideRates:
         assert es == pytest.approx(want, rel=1e-9)
 
 
+class TestUnderflowingRate:
+    # at alpha = 30 and b = 1.4e-320, v* = 1.4e-317 and v* l**alpha of the
+    # pd_scale 0.5 group underflows to 0, where GammaUpper(s, 0) = Gamma(s)
+    GROUPS = [{"exposure": 1, "pd_scale": 0.5, "count": 300},
+              {"exposure": 2, "pd_scale": 0.8, "count": 200}]
+
+    def test_shortfall_is_finite(self, capsys, tmp_path):
+        # the shortfall row used to fail with "math domain error"
+        cfg = tmp_path / "slow.json"
+        cfg.write_text(json.dumps({"groups": self.GROUPS}))
+        code, out, err = run_cli(capsys, "asymptotic", "--config", str(cfg), "--alpha", "30",
+                                 "--b", "1.4e-320", "--es")
+        assert (code, err) == (0, "")
+        from scipy.special import gamma, gammaincc
+
+        from archcredit import solve_vstar
+        from archcredit.portfolio import Portfolio, SubPortfolio
+
+        b = float(parse_csv(out)[1]["b"])
+        vstar = solve_vstar(Portfolio([SubPortfolio(1.0, 0.5, 300), SubPortfolio(2.0, 0.8, 200)]),
+                            30.0, b)
+        s = 1.0 - 1.0 / 30.0
+        integral = sum(c * w * l * gamma(s) * gammaincc(s, vstar * l**30)
+                       for c, w, l in ((1.0, 0.6, 0.5), (2.0, 0.4, 0.8)))
+        want = 500 * (b + vstar ** (1.0 / 30.0) * integral)
+        es = float(parse_csv(out)[1]["asymptotic"])
+        assert math.isfinite(es)
+        assert es == pytest.approx(want, rel=1e-9)
+
+
 class TestEstimateCommand:
     def test_columns_fixed(self, capsys):
         code, out, _ = run_cli(

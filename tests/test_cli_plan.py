@@ -70,18 +70,70 @@ def test_underflowing_model_is_a_config_error(capsys):
     assert es == pytest.approx(homogeneous_shortfall_asymptotic(100.0, 0.8, 1.0, 1000), rel=1e-12)
 
 
-def test_one_vstar_solve_per_curve(capsys, monkeypatch):
-    # the rows of one (alpha, n, b) point share its model, and the models of
-    # one (portfolio, alpha) share its curve: one solve takes all its levels
+def _count_solves(monkeypatch) -> list:
     calls = []
     real = portfolio.solve_vstar
     monkeypatch.setattr(portfolio, "solve_vstar", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_one_vstar_solve_per_curve(capsys, monkeypatch):
+    # the rows of one (alpha, n, b) point share its model, and the models of
+    # one group mix and alpha share its curve at every n: one solve takes
+    # all its levels
+    calls = _count_solves(monkeypatch)
     code = cli.main(["asymptotic", "--n", "100", "--n", "500", "--b", "0.5", "--b", "0.8", "--es"])
     out, _ = capsys.readouterr()
     assert code == 0
     assert len(list(csv.DictReader(io.StringIO(out)))) == 8
-    assert sorted((pf.n, alpha, b) for pf, alpha, b in calls) == [(100, 1.5, [0.5, 0.8]),
-                                                                  (500, 1.5, [0.5, 0.8])]
+    assert [(alpha, b) for _, alpha, b in calls] == [(1.5, [0.5, 0.8])]
+    # a preset's n grid too, and its alpha grid solves once per alpha
+    for command, solves in (("table 4", [(1.5, [0.8])]), ("table 5", [(1.5, [0.8])]),
+                            ("table 2", [(a, [0.8]) for a in (1.1, 1.5, 2.0, 5.0)])):
+        calls.clear()
+        for task in cli._plan(cli.Settings(), command, set()):
+            task.point.vstar
+        assert [(alpha, b) for _, alpha, b in calls] == solves, command
+
+
+def test_no_curve_outlives_a_command(capsys, monkeypatch):
+    # the curve store lives in one plan: a second identical command solves again
+    calls = _count_solves(monkeypatch)
+    argv = ["asymptotic", "--n", "100", "--n", "500", "--b", "0.5", "--b", "0.8", "--es"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert [(alpha, b) for _, alpha, b in calls] == [(1.5, [0.5, 0.8])] * 2
+
+
+@pytest.mark.parametrize("alpha,extra,code", [
+    ("1.1", (), 0), ("1.5", (), 0), ("5", (), 0), ("30", (), 0),
+    # v* at b = 1e-320 is subnormal: that level fails at every n, alone
+    ("5", ("--l", "50", "--b", "1e-320"), 3),
+])
+def test_n_grid_rows_equal_each_n_alone(capsys, alpha, extra, code):
+    # the sizes of a grid share one curve; each n prints, byte for byte, the
+    # rows it prints alone
+    sizes = ["100", "250", "1000"]
+    argv = ["asymptotic", "--alpha", alpha, *extra, "--b", "0.5", "--b", "0.8", "--es"]
+    assert cli.main(argv + [a for n in sizes for a in ("--n", n)]) == code
+    grid, err = capsys.readouterr()
+    lines = grid.splitlines()
+    alone = []
+    for n in sizes:
+        assert cli.main(argv + ["--n", n]) == code
+        alone += capsys.readouterr().out.splitlines()[1:]
+    assert lines[1:] == alone
+    assert len(alone) == len(sizes) * (6 if extra else 4)
+    if extra:
+        rows = list(csv.DictReader(io.StringIO(grid)))
+        failed = [r for r in rows if float(r["b"]) == 1e-320]
+        assert len(failed) == 2 * len(sizes)
+        assert all(r["asymptotic"] == "" for r in failed)
+        assert err.count("Newton solve for v* at b=1e-320 stalled") == 2 * len(sizes)
+        assert all(r["asymptotic"] for r in rows if float(r["b"]) != 1e-320)
 
 
 def test_one_model_build_per_point(capsys, monkeypatch):

@@ -77,6 +77,28 @@ class TestTypes:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
+    def test_curve_store_shares_only_equal_mixes(self):
+        # portfolios given one store share a curve where their columns c_j,
+        # w_j and l_j are equal bit for bit, whatever their sizes
+        store = {}
+        homog = [Portfolio.homogeneous(n, pd_scale=0.5, curves=store) for n in (50, 500, 1000)]
+        assert len({id(pf.curve(1.5)) for pf in homog}) == 1
+        assert homog[0].curve(2.0) is not homog[0].curve(1.5)
+        mixes = [Portfolio([SubPortfolio(1.0, 0.5, 3 * k), SubPortfolio(2.0, 0.8, 2 * k)], store)
+                 for k in (10, 100)]
+        assert mixes[0].curve(1.5) is mixes[1].curve(1.5)
+        others = [
+            Portfolio.homogeneous(500, pd_scale=0.5000000000000001, curves=store),
+            Portfolio.homogeneous(500, exposure=2.0, pd_scale=0.5, curves=store),
+            Portfolio([SubPortfolio(1.0, 0.5, 301), SubPortfolio(2.0, 0.8, 200)], store),
+            Portfolio([SubPortfolio(2.0, 0.8, 20), SubPortfolio(1.0, 0.5, 30)], store),
+        ]
+        curves = [pf.curve(1.5) for pf in homog[:1] + mixes[:1] + others]
+        assert len({id(c) for c in curves}) == len(curves)
+        assert len(store) == len(curves) + 1
+        # without a store, each portfolio holds its own
+        assert Portfolio.homogeneous(50).curve(1.5) is not Portfolio.homogeneous(50).curve(1.5)
+
     def test_scale_kinds(self):
         assert DefaultScale.reciprocal().resolve(500) == pytest.approx(1 / 500)
         assert DefaultScale.log_reciprocal().resolve(100) == pytest.approx(1 / math.log(100))
