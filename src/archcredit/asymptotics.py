@@ -177,7 +177,8 @@ class LossCurve:
         """sum_j c_j w_j l_j GammaUpper(1 - 1/alpha, v* l_j**alpha) at a solved
         level b.  The first read evaluates it for every level solved so far,
         in one pass whose row sums do not depend on how many levels it holds;
-        a level whose GammaUpper fails keeps the error, raised at its reads.
+        a level whose GammaUpper fails keeps the error, raised at its reads
+        with a traceback of that read alone.
         """
         integrals = self.integrals
         if b not in integrals:
@@ -197,7 +198,7 @@ class LossCurve:
             integrals.update(zip(upper, (cwl * rows).sum(axis=-1).tolist()))
         integral = integrals[b]
         if isinstance(integral, Exception):
-            raise integral
+            raise integral.with_traceback(None)  # or its traceback grows at every read
         return integral
 
 

@@ -13,7 +13,11 @@ Every row carries a fixed column set::
 Numeric fields are emitted with 17 significant digits so parsing the CSV
 recovers them exactly.  ``runtime_ms`` is left empty unless ``--timings`` is
 given, keeping re-runs with the same seed byte-identical.  A row is a tuple of
-its formatted fields in ``COLUMNS`` order.
+its formatted fields in ``COLUMNS`` order.  ``_plan`` formats a row's method,
+alpha, n, b and seed fields, once per (alpha, n, b) point; ``_row`` formats
+only the values that the row computed.  No field can hold a comma, a quote or
+a line break (methods come from a fixed set, numbers are ``%.17g``), so a CSV
+line is its fields joined by commas, with no writer to quote them.
 
 Every command (``estimate``, ``es``, ``asymptotic`` and the ``table``
 presets) plans one row per (alpha, n, b, method) of its grid, the rows of one
@@ -34,10 +38,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -285,13 +287,16 @@ def _log(msg: str) -> None:
 @dataclass
 class _Task:
     """One planned report row: its method, the model of its (alpha, n, b)
-    point, the run config of a Monte Carlo row, and whether the row carries
-    the asymptotic column."""
+    point, the run config of a Monte Carlo row, whether the row carries the
+    asymptotic column, and its formatted method, alpha, n and b fields and
+    seed field ("" for a row with no run)."""
 
     method: str
     point: LossModel
     config: EstimatorConfig | None
     asymptotic: bool
+    head: tuple[str, str, str, str]
+    seed: str
 
 
 def _where(alpha: float, n: int, b: float) -> str:
@@ -301,21 +306,16 @@ def _where(alpha: float, n: int, b: float) -> str:
 
 def _row(task: _Task, report=None, asym=None, timings=False) -> tuple[str, ...]:
     """The fields of a report row, in ``COLUMNS`` order."""
-    est = se = rel = vr = disc = runtime = None
-    if report is not None:
-        est = report.estimate
-        se = report.std_error
-        rel = report.rel_error_pct
-        vr = report.variance_reduction
-        if timings:
-            runtime = report.runtime_s * 1000.0
-        if asym is not None and asym > 0.0:
-            disc = 100.0 * (report.estimate - asym) / asym
-    point = task.point
+    if report is None:
+        return (*task.head, "", "", "", "", _fmt(asym), "", "", task.seed)
+    disc = runtime = None
+    if timings:
+        runtime = report.runtime_s * 1000.0
+    if asym is not None and asym > 0.0:
+        disc = 100.0 * (report.estimate - asym) / asym
     return (
-        task.method, _fmt(point.alpha), _fmt(point.n), _fmt(point.b), _fmt(est), _fmt(se),
-        _fmt(rel), _fmt(vr), _fmt(asym), _fmt(disc), _fmt(runtime),
-        _fmt(task.config.seed if task.config else None),
+        *task.head, _fmt(report.estimate), _fmt(report.std_error), _fmt(report.rel_error_pct),
+        _fmt(report.variance_reduction), _fmt(asym), _fmt(disc), _fmt(runtime), task.seed,
     )
 
 
@@ -366,15 +366,19 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
     settings = dataclasses.replace(settings, **fixed)
     methods = settings.methods or _PAIR
     scale = _scale(settings)
+    levels = settings.b or [0.8]
+    level_fields = [_fmt(b) for b in levels]
     tasks: list[_Task] = []
     curves: dict = {}
     for alpha in alphas or [settings.alpha]:
+        alpha_field = _fmt(alpha)
         for n in _sizes(settings):
             pf = _portfolio(settings, n, curves)
-            for b in settings.b or [0.8]:
+            n_field = _fmt(pf.n)
+            for b, b_field in zip(levels, level_fields):
                 point = _checked(lambda: _where(alpha, pf.n, b), LossModel, pf, alpha, scale, b)
                 for method in methods:
-                    config = None
+                    config, seed = None, ""
                     if not method.startswith("asymptotic_"):
                         config = _checked(
                             lambda: f"{method} ({_where(alpha, pf.n, b)})", EstimatorConfig,
@@ -382,7 +386,9 @@ def _plan(settings: Settings, command: str, given: set[str]) -> list[_Task]:
                             seed=settings.seed + len(tasks), x0=settings.x0,
                             kind="importance" if method in _ES else method,
                         )
-                    tasks.append(_Task(method, point, config, settings.asymptotic))
+                        seed = _fmt(config.seed)
+                    tasks.append(_Task(method, point, config, settings.asymptotic,
+                                       (method, alpha_field, n_field, b_field), seed))
     fixed_given = sorted(given & ({*fixed, "alpha"} if alphas else set(fixed)))
     if fixed_given:
         raise ConfigError(f"{command} fixes {', '.join(fixed_given)}; drop the flag or config key")
@@ -431,11 +437,8 @@ def _open_output(settings: Settings):
 
 
 def _render_csv(rows: list[tuple[str, ...]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """The CSV report: no field needs quoting (see the module docstring)."""
+    return "".join([",".join(row) + "\n" for row in (COLUMNS, *rows)])
 
 
 def _render_markdown(rows: list[tuple[str, ...]]) -> str:
@@ -445,9 +448,14 @@ def _render_markdown(rows: list[tuple[str, ...]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and only read by ``main``.
+    """The argument parser, built once per process and only read by ``main``."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subparser per command, built once per process.
 
     A parser is a web of reference cycles: one built per call would leave
     about 230 objects of cyclic garbage per ``main`` call, and the resident
@@ -473,11 +481,30 @@ def build_parser() -> argparse.ArgumentParser:
     for opt in _OPTIONS:
         for name in (opt.commands or commands) if opt.flags else ():
             commands[name].add_argument(*opt.flags, **opt.kwargs)
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments, as the full parser gives them.
+
+    The command's subparser parses its arguments directly, which skips the
+    full parser's dispatch (about a third of a parse).  Arguments that it
+    cannot take whole (no command, an unknown one, or arguments left over) go
+    to the full parser, so help, usage errors and "unrecognized arguments"
+    read as they always have.
+    """
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     command = f"table {args.table}" if args.command == "table" else args.command
     if getattr(args, "es", None):
         command += " --es"

@@ -207,7 +207,7 @@ class LossModel:
     when it is built; the first read of v* on that curve
     solves every level registered there and not yet solved, in one
     solve_vstar call, and a level whose solve failed raises its own error at
-    every read.  v* and every member that only the estimators read (the
+    every read, with a traceback of that read alone.  v* and every member that only the estimators read (the
     generator values phi and the per-obligor columns) are computed on first
     use; the methods take one value or an array of replications.
     """
@@ -238,7 +238,7 @@ class LossModel:
             vstars.update(zip(todo, solve_vstar(self.portfolio, self.alpha, todo)))
         vstar = vstars[self.b]
         if isinstance(vstar, Exception):
-            raise vstar
+            raise vstar.with_traceback(None)  # or its traceback grows at every read
         return vstar
 
     @cached_property

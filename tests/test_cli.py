@@ -3,6 +3,7 @@ import io
 import json
 import math
 import signal
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -524,3 +525,58 @@ class TestTablePresets:
         rows = parse_csv(out)
         assert [r["n"] for r in rows] == ["50", "100", "250", "500"]
         assert all(r["method"] == "es_importance" for r in rows)
+
+
+PARSER_CASES = json.loads((Path(DESK).parent / "parser.json").read_text(encoding="utf-8"))
+
+
+def _outcome(capsys, call):
+    """The exit code (a return or SystemExit), stdout and stderr of ``call()``."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    # main hands a command's arguments straight to its subparser and falls back
+    # to the full parser for help, an unknown command and leftover arguments;
+    # parser.json holds the output of the full parser alone, at 80 columns
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="argparse words help and usage errors differently from 3.13")
+    @pytest.mark.parametrize("case", PARSER_CASES, ids=lambda c: " ".join(c["argv"]) or "none")
+    def test_output_is_pinned(self, case, capsys):
+        got = _outcome(capsys, lambda: main(list(case["argv"])))
+        assert got == (case["code"], case["stdout"], case["stderr"])
+
+    ARGVS = [case["argv"] for case in PARSER_CASES] + [
+        ["asymptotic", "--alpha", "1.5", "--n", "50", "--n", "100", "--b", "0.2", "--b", "0.9",
+         "--es", "--seed", "3"],
+        ["asymptotic", "--config", DESK, "--alpha", "2.0", "--b", "0.5", "--es"],
+        ["estimate", "--method", "naive", "--method", "importance", "--asymptotic", "-o", "x.csv"],
+        ["table", "5", "--alpha", "2.0", "--m", "10"],
+        ["table"],
+        ["es", "--timings", "--scale", "constant", "--f", "0.1"],
+        ["asymptotic", "--alph", "1.5"],
+        ["estimate", "--", "--n", "5"],
+        ["estimate", "5"],
+        ["asymptotic", "--es", "--es", "--help"],
+        ["es", "--format", "xml"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a) or "none")
+    def test_dispatch_matches_full_parser(self, argv, capsys):
+        full = _outcome(capsys, lambda: vars(cli.build_parser().parse_args(list(argv))))
+        assert _outcome(capsys, lambda: vars(cli._parse(list(argv)))) == full
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["archcredit", "estimate", "--bogus", "1"])
+        code, out, err = _outcome(capsys, main)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bogus 1" in err

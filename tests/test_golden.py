@@ -11,12 +11,14 @@ changed and the largest relative change in each, and say so in CHANGES.md.
 
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from archcredit.cli import main
+from archcredit.cli import _PRESETS, COLUMNS, _fmt, _render_csv, main
+from archcredit.estimators import _KINDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DESK = str(GOLDEN / "desk.json")  # 12 x (1, 0.5) + 8 x (2, 0.8), f = 0.3, b = 0.5
@@ -34,6 +36,10 @@ CASES = {
     ],
     "mixed_es.csv": ["es", "--config", MIXED, "--m", "2000", "--seed", "7"],
     "mixed_asymptotic.csv": ["asymptotic", "--config", MIXED, "--es"],
+    "homogeneous_asymptotic.csv": [
+        "asymptotic", "--alpha", "1.5", "--n", "50", "--n", "1000", "--b", "0.2", "--b", "0.9",
+        "--es",
+    ],
     "estimate.md": [
         "estimate", "--n", "100", "--b", "0.5", "--b", "0.8", "--asymptotic",
         "--m", "300", "--seed", "5", "--format", "markdown",
@@ -51,6 +57,27 @@ def test_output_matches_golden(name, capsys):
     code, out = run_case(CASES[name], capsys)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+# every method a row can name, and the numbers a row can format, edge cases included
+METHODS = sorted({*_KINDS, *(m for _, fixed in _PRESETS.values() for m in fixed.get("methods", ()))})
+NUMBERS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-320, 5e-324, 1.7976931348623157e308,
+           -1.5, 0, 7, -3, 10**20]
+
+
+def test_no_csv_field_needs_quoting():
+    assert {"asymptotic_tail", "asymptotic_es", "es_importance"} <= set(METHODS)
+    for field in [*COLUMNS, *METHODS, *map(_fmt, NUMBERS), _fmt(None)]:
+        assert not set(field) & set(',"\r\n'), field
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".csv")))
+def test_render_csv_matches_csv_writer(name):
+    rows = [tuple(row) for row in csv.reader(io.StringIO((GOLDEN / name).read_text()))]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert rows[0] == COLUMNS
+    assert _render_csv(rows[1:]) == buf.getvalue() == (GOLDEN / name).read_text()
 
 
 def _fields(text: str) -> list[list[str]]:

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+import traceback
 
 import numpy as np
 import pytest
@@ -387,6 +388,46 @@ class TestBatchInvariance:
             kinds.append(isinstance(got, tuple))
             assert repr(got) == repr(one), b
         assert any(kinds) and not all(kinds)
+
+
+class TestStoredErrors:
+    # a failed level keeps its error and raises it at every read; each read's
+    # traceback is its own, not the traceback of every read before it
+    SCALE = DefaultScale.reciprocal()
+
+    @staticmethod
+    def _depths(read) -> list[int]:
+        depths = []
+        for _ in range(5):
+            with pytest.raises(NumericalError) as info:
+                read()
+            depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        return depths
+
+    def test_vstar_traceback_does_not_grow(self):
+        # three sizes share one curve store, and so the stored error of b = 1e-320,
+        # where v* is subnormal and the solve stalls
+        curves: dict = {}
+        models = [LossModel(Portfolio.homogeneous(n, pd_scale=50.0, curves=curves), 5.0,
+                            self.SCALE, 1e-320) for n in (100, 250, 1000)]
+        for model in models:
+            depths = self._depths(lambda: model.vstar)
+            assert depths[-1] <= depths[0], depths
+        stored = models[0].curve.vstars[1e-320]
+        assert all(model.curve.vstars[1e-320] is stored for model in models)
+        assert "stalled" in str(stored) and stored.achieved > 0.0
+
+    def test_integral_traceback_does_not_grow(self, monkeypatch):
+        def fail(s, x):
+            raise NumericalError("GammaUpper failed", achieved=1.0)
+
+        monkeypatch.setattr(asymptotics, "_upper_gamma", fail)
+        curves: dict = {}
+        models = [LossModel(Portfolio.homogeneous(n, curves=curves), 1.5, self.SCALE, 0.8)
+                  for n in (100, 250, 1000)]
+        for model in models:
+            depths = self._depths(lambda: expected_shortfall_asymptotic(model))
+            assert depths[-1] <= depths[0], depths
 
 
 def model_k(pf, b):
