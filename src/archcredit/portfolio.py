@@ -109,7 +109,9 @@ class Portfolio:
 
     @cached_property
     def total_exposure(self) -> float:
-        return float(np.dot(self.exposures, self.counts))
+        """sum_j count_j exposure_j; inf, without a warning, past the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.dot(self.exposures, self.counts))
 
     @cached_property
     def _mix(self) -> tuple[bytes, bytes, bytes]:
@@ -180,10 +182,15 @@ class DefaultScale:
 
 
 def check_model(pf: Portfolio, alpha: float, scale: DefaultScale, b: float) -> float:
-    """Validate 1 < alpha < inf, 0 < b < mean exposure and every marginal default
-    probability l_j f_n < 1; return f_n resolved against pf."""
+    """Validate 1 < alpha < inf, a finite total exposure, 0 < b < mean exposure
+    and every marginal default probability l_j f_n < 1; return f_n resolved
+    against pf."""
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"tail index must be finite and exceed 1, got {alpha}")
+    if not pf.total_exposure < math.inf:
+        raise ValueError(
+            "total exposure sum_j count_j*exposure_j is not finite; shrink the exposures"
+        )
     cbar = pf.mean_exposure
     if not 0.0 < b < cbar:
         raise ValueError(f"loss level must lie in (0, {cbar}), got {b}")
